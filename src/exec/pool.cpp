@@ -1,6 +1,7 @@
 #include "exec/pool.h"
 
 #include <algorithm>
+#include <exception>
 #include <latch>
 #include <utility>
 
@@ -51,26 +52,51 @@ void ThreadPool::parallel_for(
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   const std::size_t slices = slice_count(n, grain);
   if (slices == 0) return;
-  const std::size_t chunk = (n + slices - 1) / slices;
   if (slices == 1) {
     fn(0, n, 0);
     return;
   }
-  std::latch done(static_cast<std::ptrdiff_t>(slices - 1));
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (std::size_t s = 1; s < slices; ++s) {
+  // Queued slices reference this frame, so no exit from it may skip the
+  // latch wait, and no slice may throw into worker().
+  struct Fork {
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn;
+    std::size_t n;
+    std::size_t chunk;
+    std::latch done;
+    std::mutex mu;
+    std::exception_ptr error;
+
+    void run(std::size_t s) noexcept {
       const std::size_t begin = s * chunk;
-      const std::size_t end = std::min(n, begin + chunk);
-      tasks_.emplace_back([&fn, &done, begin, end, s] {
-        fn(begin, end, s);
-        done.count_down();
+      try {
+        fn(begin, std::min(n, begin + chunk), s);
+      } catch (...) {
+        std::lock_guard<std::mutex> lk(mu);
+        if (!error) error = std::current_exception();
+      }
+    }
+  } fork{fn, n, (n + slices - 1) / slices,
+         std::latch(static_cast<std::ptrdiff_t>(slices - 1)), {}, {}};
+  std::size_t queued = 1;
+  try {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (; queued < slices; ++queued) {
+      tasks_.emplace_back([&fork, s = queued] {
+        fork.run(s);
+        fork.done.count_down();
       });
     }
+  } catch (...) {
+    // Out of memory queueing: the slices not queued run here instead.
   }
   cv_.notify_all();
-  fn(0, std::min(n, chunk), 0);
-  done.wait();
+  for (std::size_t s = queued; s < slices; ++s) {
+    fork.run(s);
+    fork.done.count_down();
+  }
+  fork.run(0);
+  fork.done.wait();
+  if (fork.error) std::rethrow_exception(fork.error);
 }
 
 }  // namespace iph::exec

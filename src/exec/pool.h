@@ -14,6 +14,12 @@
 // waits only on its own latch. Tasks never block on other tasks, so
 // interleaving cannot deadlock. Nested parallel_for from inside a task
 // is NOT supported (a task waiting on workers could starve the queue).
+//
+// Exceptions: a slice that throws does not cut the fork short. Every
+// slice runs to its end or its own throw, parallel_for always waits for
+// all of them (queued slices hold references into its frame), and then
+// rethrows the first exception on the calling thread. Workers never see
+// an exception, so the pool stays usable.
 #pragma once
 
 #include <condition_variable>
@@ -45,8 +51,9 @@ class ThreadPool {
 
   /// Run fn(begin, end, slice) over a partition of [0, n) into
   /// slice_count(n, grain) contiguous slices, concurrently; blocks
-  /// until every slice finished. Slice 0 runs on the calling thread.
-  /// fn must not call back into parallel_for (see file comment).
+  /// until every slice finished, then rethrows the first exception a
+  /// slice threw. Slice 0 runs on the calling thread. fn must not call
+  /// back into parallel_for (see file comment).
   void parallel_for(std::size_t n, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t,
                                              std::size_t)>& fn);
@@ -61,5 +68,25 @@ class ThreadPool {
   std::deque<std::function<void()>> tasks_;
   bool stop_ = false;
 };
+
+/// pool->parallel_for(n, grain, fn), or fn(0, n, 0) on the calling
+/// thread when `pool` is null: an inline run is the same code as a
+/// one-slice fork.
+template <class Fn>
+void for_slices(ThreadPool* pool, std::size_t n, std::size_t grain,
+                const Fn& fn) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, grain, fn);
+  } else if (n > 0) {
+    fn(std::size_t{0}, n, std::size_t{0});
+  }
+}
+
+/// How many slices for_slices(pool, n, grain, ...) runs.
+inline std::size_t slice_count(const ThreadPool* pool, std::size_t n,
+                               std::size_t grain) noexcept {
+  if (pool != nullptr) return pool->slice_count(n, grain);
+  return n > 0 ? 1 : 0;
+}
 
 }  // namespace iph::exec

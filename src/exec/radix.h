@@ -1,22 +1,29 @@
 // Radix presort of floating-point coordinates.
 //
-// The native engine's front end: an LSD radix sort over the IEEE-754
-// bit patterns of the coordinates, mapped through an order-preserving
-// u64 key so unsigned digit order equals numeric order (the
-// "radix sort the floats" trick of SNIPPETS.md Snippet 2 — that is
-// what makes the presort linear-time instead of comparison-bound).
-// Produces the lexicographic (x, then y) index permutation that the
-// hull scan and all "presorted" machinery assume: two stable 8-bit
-// LSD sorts, y-key first then x-key, ties falling back to the original
-// index. Digit histograms are computed in one pass up front (they are
-// permutation-independent), so passes whose digit is constant across
-// the input — most of them, for coordinates from a common range — are
-// skipped entirely.
+// The native engine's front end. Every coordinate maps through an
+// order-preserving u64 key, so unsigned digit order equals numeric
+// order (the "radix sort the floats" trick of SNIPPETS.md Snippet 2 —
+// that is what makes the presort linear-time instead of comparison-
+// bound). lex_sort builds the lexicographic (x, then y, then original
+// index) order that the hull scan and all "presorted" machinery assume
+// in three linear steps:
+//
+//   1. a stable LSD radix sort of (x-key, index) pairs, 8 bits a pass.
+//      The key travels with its index, so no pass reads keys[order[i]];
+//      a digit that is the same in every key costs no pass, which drops
+//      most of them for coordinates from a common range;
+//   2. one gather of the points into that order;
+//   3. each run of equal x put into (y-key, index) order. Runs already
+//      in y order (every run of an all-distinct-x input, and copies of
+//      one point) are left alone, short runs are insertion-sorted and
+//      long ones radix-sorted by y-key, so even a single vertical column
+//      stays linear.
 //
 // Large inputs sort in parallel on the caller's ThreadPool: per-slice
-// digit counts, one serial (digit, slice)-order prefix, per-slice
-// stable scatter. The permutation is identical to the sequential
-// sort's, so results never depend on the pool shape.
+// digit counts, one (digit, slice)-order prefix, per-slice stable
+// scatter; the gather and the run ordering split [0, n) at run
+// boundaries. Each step yields exactly the sequential result, so the
+// order never depends on the pool shape.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +40,18 @@ namespace iph::exec {
 /// equal, so the sort must too).
 std::uint64_t double_key(double d) noexcept;
 
-/// The lexicographic (x, then y, then original-index) permutation of
-/// `pts`, by stable radix sort of the coordinate keys. `pool` may be
-/// null (or the input small): the sort runs sequentially with the same
-/// resulting permutation.
+/// A point span in lexicographic order: points[i] == pts[order[i]].
+struct LexSorted {
+  std::vector<std::uint32_t> order;
+  std::vector<geom::Point2> points;
+};
+
+/// The lexicographic (x, then y, then original index) order of `pts`
+/// and the points gathered into it. `pool` may be null (or the input
+/// small): everything runs on the calling thread with the same result.
+LexSorted lex_sort(std::span<const geom::Point2> pts, ThreadPool* pool);
+
+/// lex_sort's permutation alone.
 std::vector<std::uint32_t> lex_sort_indices(
     std::span<const geom::Point2> pts, ThreadPool* pool);
 

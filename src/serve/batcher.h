@@ -2,21 +2,19 @@
 //
 // Small hull queries are dominated by per-run fixed costs, so the
 // service coalesces the small requests that arrive within a window into
-// ONE leased execution run: their point sets are packed into a single
-// contiguous arena (request r owns the disjoint cell range
-// [offset_r, offset_r + n_r)), the batch's backend executes the
-// requests back-to-back — each request under its derived seed so every
-// request replays exactly its solo execution — and the per-request
-// hulls are split back out of the arena's index space. Requests at or
-// above BatchPolicy::small_threshold points bypass the batcher and are
+// ONE leased execution run: the batch's backend executes the requests
+// back-to-back, each over its own point span and under its derived
+// seed, so every request replays exactly its solo execution and its
+// hull indices refer to its own points. Requests at or above
+// BatchPolicy::small_threshold points bypass the batcher and are
 // routed to the dedicated large shard (service.h).
 //
 // Why back-to-back inside one lease rather than one merged simulation:
 // the service promises batched results bit-identical to solo runs
 // (request.h determinism contract), and a merged simulation would key
 // every random draw on the batch composition. The throughput win of
-// batching here is amortizing the machine lease, the thread-pool warmth
-// and the arena over many tiny queries — measured in bench/e14.
+// batching here is amortizing the machine lease and the thread-pool
+// warmth over many tiny queries — measured in bench/e14.
 //
 // Execution is routed through the iph::exec::Backend seam: each request
 // names a BackendKind (kDefault defers to the service default) and the
@@ -42,7 +40,8 @@ namespace iph::serve {
 struct BatchPolicy {
   /// Requests with >= this many points skip batching (large path).
   std::size_t small_threshold = 2048;
-  /// Budget per batch: requests and total arena points.
+  /// Budget per batch: requests, and total points — which bounds the
+  /// work of one run.
   std::size_t max_batch_requests = 64;
   std::size_t max_batch_points = std::size_t{1} << 16;
   /// How long a dequeued batch waits for stragglers.
@@ -84,14 +83,14 @@ struct BackendSet {
 struct BatchExecInfo {
   /// When request i's hull finished computing — parallel to the
   /// returned responses. The service derives each request's OWN e2e
-  /// from this (batch-mates that ran earlier in the arena complete
+  /// from this (batch-mates that ran earlier in the batch complete
   /// earlier); before this existed every batch-mate was stamped with
   /// the batch tail's end time.
   std::vector<Clock::time_point> completed_at;
   /// When request i's execution started on the backend — parallel to
   /// completed_at. [started_at[i], completed_at[i]) is request i's own
   /// exec span; the gap back to started_at[0] is its wait for earlier
-  /// batch-mates in the shared arena.
+  /// batch-mates in the same run.
   std::vector<Clock::time_point> started_at;
   /// Per-request [begin, end) index range into BackendSet::recorder's
   /// event log (all zeros when no recorder was supplied, and empty

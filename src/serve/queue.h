@@ -11,8 +11,8 @@
 // pop_batch implements the batching window: it blocks for the first
 // item, then keeps taking already-queued items — waiting up to `window`
 // for stragglers — until the request or point budget is reached. The
-// window prices latency against coalescing; the budgets bound the
-// arena one PRAM run touches.
+// window prices latency against coalescing; the budgets bound the work
+// of one run.
 #pragma once
 
 #include <chrono>
@@ -34,7 +34,7 @@ namespace iph::serve {
 enum class BatchClose : std::uint8_t {
   kWindow,    ///< Straggler window elapsed.
   kRequests,  ///< Request budget reached.
-  kPoints,    ///< Point (arena) budget reached.
+  kPoints,    ///< Point budget reached.
   kClosed,    ///< Queue closed while the batch was collecting.
 };
 

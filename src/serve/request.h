@@ -102,7 +102,7 @@ struct RequestMetrics {
   double queue_wait_ms = 0;  ///< submit -> dequeued by a worker.
   double exec_ms = 0;        ///< PRAM run wall-clock.
   /// submit -> THIS request's result computed. Per-request, not
-  /// batch-end: batch-mates that executed earlier in the arena report
+  /// batch-end: batch-mates that executed earlier in the batch report
   /// smaller e2e, so (e2e - queue_wait) is this request's own service
   /// time plus its wait for earlier batch-mates.
   double e2e_ms = 0;

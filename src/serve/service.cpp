@@ -310,7 +310,7 @@ void HullService::finish_batch(std::vector<Pending> batch,
     responses[i].metrics.queue_wait_ms =
         ms_between(live[i].enqueued_at, dequeued);
     // Each request's OWN completion stamp, not the batch tail's: the
-    // requests ran back-to-back in the arena, so e2e grows along the
+    // requests ran back-to-back in one run, so e2e grows along the
     // batch and (e2e - queue_wait) is per-request (satellite fix,
     // regression-tested in serve_test).
     responses[i].metrics.e2e_ms =
