@@ -5,7 +5,7 @@
 // small query served naively pays the full threads-1 thread spawn +
 // join per request. That fixed cost dominates small hulls: measured on
 // the reference box, Machine(32) construction ~0.7 ms vs ~0.2 ms for
-// the n = 64 hull run itself. The service's pre-warmed MachinePool +
+// the n = 64 hull run itself. The service's pre-warmed worker shards +
 // adaptive batcher amortize exactly that away — the PRAM execution is
 // bit-identical by construction (checked every run below) — so for
 // "small"-labelled rows the served configuration must clear at least
@@ -29,8 +29,8 @@
 // simulator-served one (native_inv = qps / qps_native <= 1).
 //
 // A fourth pair of arms prices the tracing tax: the native engine
-// behind a deliberately narrow service shape (1 shard, 1 worker, 2
-// threads — nowhere for a per-request recorder cost to hide), run
+// behind a deliberately narrow service shape (1 shard, 2 threads —
+// nowhere for a per-request recorder cost to hide), run
 // recorder-armed (the iph::obs flight recorder, on by default) and
 // recorder-off, interleaved, best-of-5 each, 10 passes over the
 // request set per timed rep. The gate:
@@ -95,7 +95,6 @@ void e14(benchmark::State& state) {
 
   iph::serve::ServiceConfig cfg;
   cfg.shards = 2;
-  cfg.workers = 2;
   cfg.threads_per_shard = kThreads;
   cfg.queue_capacity = kRequests * 2;
   cfg.master_seed = kMasterSeed;
@@ -160,9 +159,10 @@ void e14(benchmark::State& state) {
     p50 = percentile(e2e, 0.50);
     p95 = percentile(e2e, 0.95);
     p99 = percentile(e2e, 0.99);
-    const iph::serve::StatsSnapshot stats = svc.stats();
-    mean_batch = stats.mean_batch();
-    large = stats.large_requests;
+    const iph::stats::RegistrySnapshot served =
+        svc.stats_registry().snapshot();
+    mean_batch = iph::serve::mean_batch(served);
+    large = served.counter_or0(iph::serve::statnames::kLargeRequests);
 
     // Native: same requests, same service shape, but every request
     // runs on the thread-parallel engine (no simulator). Responses are
@@ -218,8 +218,8 @@ void e14(benchmark::State& state) {
     }
 
     // Tracing overhead: the native engine again, but behind a
-    // minimal-noise service shape — one shard, one worker, two
-    // threads — recorder-armed (iph::obs, the default) vs recorder-off
+    // minimal-noise service shape — one shard, two threads —
+    // recorder-armed (iph::obs, the default) vs recorder-off
     // (ServiceConfig::obs.enabled = false). The narrow shape is the
     // HARSHER configuration for this claim: no thread-spawn storm or
     // batching slack for a per-request recorder cost to hide behind,
@@ -239,7 +239,6 @@ void e14(benchmark::State& state) {
       iph::serve::ServiceConfig ocfg = cfg;
       ocfg.backend = iph::exec::BackendKind::kNative;
       ocfg.shards = 1;
-      ocfg.workers = 1;
       ocfg.threads_per_shard = 2;
       std::string arm_err;
       const auto overhead_arm = [&](bool obs_on) -> double {

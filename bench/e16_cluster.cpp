@@ -83,8 +83,8 @@ class Backend {
       ::close(out[0]);
       ::close(out[1]);
       ::execl(IPH_HULLSERVED_BIN, "hullserved", "--port", "0", "--shards",
-              "1", "--workers", "1", "--threads", "4", "--backend", "pram",
-              "--seed", "42", "--quiet", static_cast<char*>(nullptr));
+              "1", "--threads", "4", "--backend", "pram", "--seed", "42",
+              "--quiet", static_cast<char*>(nullptr));
       _exit(127);
     }
     ::close(out[1]);

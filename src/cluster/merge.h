@@ -8,7 +8,7 @@
 //                native == completed, obs span/trace identities) hold
 //                on the merged snapshot whenever they hold per shard.
 //   gauges       add — occupancy levels (queue depth, live sessions,
-//                leased shards) are extensive quantities.
+//                busy shards) are extensive quantities.
 //   histograms   bucket-wise add under Prometheus `le` semantics,
 //                which is only sound when every source histogram uses
 //                the SAME bound ladder. All iph registries do

@@ -45,8 +45,8 @@ struct Options {
 // Machine-lease entry points: every call below also exists in an
 // overload taking a caller-provided pram::Machine&. These skip the
 // per-call Machine spin-up (threads-1 thread spawns + joins) — the
-// serving layer (src/serve) leases pre-warmed machines from a pool and
-// calls these. With a provided machine, Options::seed and
+// serving layer's workers (src/serve) each own a pre-warmed machine
+// and call these. With a provided machine, Options::seed and
 // Options::threads are ignored (they are machine properties; reseed
 // with Machine::reset), and the returned metrics are the machine's
 // cumulative metrics — reset() the machine first for per-call numbers.

@@ -77,7 +77,7 @@ class Backend {
   /// randomized-CRCW seed and `alpha` the paper's in-place-bridge round
   /// budget — simulator knobs; deterministic engines may ignore both.
   /// Thread-safety is per-implementation: PramBackend requires external
-  /// exclusivity over its machine (the serving layer's lease), the
+  /// exclusivity over its machine (a serving worker owns its own), the
   /// native engine accepts concurrent calls.
   virtual HullRun upper_hull(std::span<const geom::Point2> pts,
                              std::uint64_t seed, int alpha) = 0;

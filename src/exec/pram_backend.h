@@ -10,9 +10,8 @@
 //
 // Exclusivity: the backend drives the machine (reset, steps, observer
 // callbacks), so the caller must hold exclusive access for the duration
-// of every upper_hull call — in the serving layer that is the
-// MachinePool lease; construct the PramBackend on the stack around the
-// leased machine.
+// of every upper_hull call — in the serving layer each worker owns its
+// machine and the PramBackend wrapping it for its whole lifetime.
 #pragma once
 
 #include "exec/backend.h"

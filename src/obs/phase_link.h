@@ -4,10 +4,10 @@
 // (Recorder::epoch_ns() + wall_us offset).
 //
 // Ownership caveat the serving layer must respect: the event slice
-// aliases the recorder's internal vector, and a pooled shard's recorder
-// is appended to by whichever worker holds the shard's lease — so the
-// conversion must happen BEFORE the lease is released (service.cpp
-// does; the resulting Spans carry interned names and own nothing).
+// aliases the recorder's internal vector, which the shard's next run
+// appends to — so the conversion must happen before the shard's worker
+// starts its next batch (service.cpp converts during the batch's
+// fan-out; the resulting Spans carry interned names and own nothing).
 #pragma once
 
 #include <cstddef>

@@ -3,8 +3,9 @@
 //
 // Spans are NOT opened/closed live on the hot path. The serving
 // pipeline already stamps every boundary it needs for latency
-// accounting (enqueue, batch pop, lease grant, per-request exec
-// start/end — serve/service.cpp); a trace is assembled from those
+// accounting (enqueue, batch pop, per-request exec start/end —
+// serve/service.cpp; the lease span is zero-length at the pop, kept so
+// the tree's shape is unchanged); a trace is assembled from those
 // stamps once, at completion time, and handed to the FlightRecorder in
 // one move. That is what keeps the always-on recorder near zero cost:
 // the per-request work is a handful of already-taken clock reads plus

@@ -33,8 +33,8 @@ struct ConflictSink {
 
 namespace conflict_detail {
 /// Sink the CURRENT THREAD is counting into, or null. Thread-local, not
-/// process-global, because machines step concurrently (serve's
-/// MachinePool runs one per shard): the host thread binds its machine's
+/// process-global, because machines step concurrently (each serve
+/// worker drives its own): the host thread binds its machine's
 /// sink around each counted step, and a machine's pool workers bind it
 /// at job pickup under the pool mutex (machine.cpp worker_loop), so no
 /// thread can ever observe another machine's sink.

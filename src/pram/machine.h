@@ -84,10 +84,10 @@ class Machine {
   /// KEEPING the warm thread pool: step index, metrics, and per-phase
   /// accounting restart from zero, so a subsequent program is
   /// bit-identical to running it on a fresh Machine(threads(), seed).
-  /// This is the reuse hook the serving layer's MachinePool leases are
-  /// built on (a Machine spin-up costs threads()-1 thread spawns; a
-  /// reset costs none). Host-side only, and only between programs: no
-  /// Phase may be open. An attached observer stays attached (its
+  /// This is the reuse hook the serving layer's workers are built on:
+  /// each owns one machine and resets it per request (a Machine spin-up
+  /// costs threads()-1 thread spawns; a reset costs none). Host-side
+  /// only, and only between programs: no Phase may be open. An attached observer stays attached (its
   /// recording simply continues); the step-race checker, if armed, gets
   /// a fresh shadow map so stale same-step stamps from the previous
   /// program cannot alias the restarted step numbering.

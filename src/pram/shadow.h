@@ -115,7 +115,7 @@ class ShadowTracker {
 namespace shadow_detail {
 /// The tracker the CURRENT THREAD is writing under, or null.
 /// Thread-local, not process-global, because machines step concurrently
-/// (serve's MachinePool runs one per shard): the host thread binds its
+/// (each serve worker drives its own): the host thread binds its
 /// machine's tracker around each checked step, and a machine's pool
 /// workers bind it at job pickup under the pool mutex (machine.cpp
 /// worker_loop). A thread can therefore never observe — or keep using

@@ -2,19 +2,19 @@
 //
 // Small hull queries are dominated by per-run fixed costs, so the
 // service coalesces the small requests that arrive within a window into
-// ONE leased execution run: the batch's backend executes the requests
-// back-to-back, each over its own point span and under its derived
-// seed, so every request replays exactly its solo execution and its
-// hull indices refer to its own points. Requests at or above
-// BatchPolicy::small_threshold points bypass the batcher and are
-// routed to the dedicated large shard (service.h).
+// ONE execution run on a worker's machine: the batch's backend executes
+// the requests back-to-back, each over its own point span and under its
+// derived seed, so every request replays exactly its solo execution and
+// its hull indices refer to its own points. Requests at or above
+// BatchPolicy::small_threshold points go to the large lane instead,
+// which runs them as batches of one (service.h).
 //
-// Why back-to-back inside one lease rather than one merged simulation:
-// the service promises batched results bit-identical to solo runs
+// Why back-to-back in one run rather than one merged simulation: the
+// service promises batched results bit-identical to solo runs
 // (request.h determinism contract), and a merged simulation would key
 // every random draw on the batch composition. The throughput win of
-// batching here is amortizing the machine lease and the thread-pool
-// warmth over many tiny queries — measured in bench/e14.
+// batching here is amortizing the pop, the bookkeeping and the
+// thread-pool warmth over many tiny queries — measured in bench/e14.
 //
 // Execution is routed through the iph::exec::Backend seam: each request
 // names a BackendKind (kDefault defers to the service default) and the
@@ -38,7 +38,7 @@
 namespace iph::serve {
 
 struct BatchPolicy {
-  /// Requests with >= this many points skip batching (large path).
+  /// Requests with >= this many points go to the large lane.
   std::size_t small_threshold = 2048;
   /// Budget per batch: requests, and total points — which bounds the
   /// work of one run.
@@ -46,18 +46,18 @@ struct BatchPolicy {
   std::size_t max_batch_points = std::size_t{1} << 16;
   /// How long a dequeued batch waits for stragglers.
   std::chrono::microseconds window{200};
-  /// Serial-dispatch grain applied to leased shards (0 = leave the
+  /// Serial-dispatch grain applied to every shard's machine (0 = leave the
   /// machine's IPH_PRAM_GRAIN-derived default).
   std::uint64_t grain = 0;
 };
 
 /// The engines one batch may dispatch to, plus the service-level
-/// default that resolves a request's kDefault. Non-owning: the service
-/// provides a leased PRAM adapter per batch and one long-lived native
-/// engine. `native` may be null (PRAM-only deployments); a kNative
-/// request then falls back to the PRAM engine rather than failing —
-/// the resolved kind in RequestMetrics::backend records what actually
-/// ran.
+/// default that resolves a request's kDefault. Non-owning: each service
+/// worker provides the PRAM adapter over its own machine, and all share
+/// one long-lived native engine. `native` may be null (PRAM-only
+/// deployments); a kNative request then falls back to the PRAM engine
+/// rather than failing — the resolved kind in RequestMetrics::backend
+/// records what actually ran.
 struct BackendSet {
   exec::Backend* pram = nullptr;    ///< Required.
   exec::Backend* native = nullptr;  ///< Optional fast path.
@@ -66,7 +66,7 @@ struct BackendSet {
   /// recorder's event log each PRAM-resolved request produced
   /// (BatchExecInfo::pram_events) — the span <-> phase-tree linkage the
   /// flight recorder turns into child spans. Must be the recorder
-  /// observing the leased machine behind `pram`.
+  /// observing the machine behind `pram`.
   const trace::Recorder* recorder = nullptr;
 
   /// Resolve a request's requested kind to the engine that will run it.

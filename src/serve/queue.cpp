@@ -14,16 +14,6 @@ BoundedQueue::Admit BoundedQueue::push(Pending& p) {
   return Admit::kOk;
 }
 
-std::optional<Pending> BoundedQueue::pop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [this] { return closed_ || !q_.empty(); });
-  if (q_.empty()) return std::nullopt;
-  Pending p = std::move(q_.front());
-  q_.pop_front();
-  update_depth_locked();
-  return p;
-}
-
 std::vector<Pending> BoundedQueue::pop_batch(
     std::size_t max_requests, std::size_t max_points,
     std::chrono::microseconds window, BatchClose* close_reason) {
@@ -48,6 +38,11 @@ std::vector<Pending> BoundedQueue::pop_batch(
   take_available();
   const auto batch_deadline = Clock::now() + window;
   while (out.size() < max_requests && !closed_) {
+    // A spent point budget closes at once: no straggler can fit.
+    if (points >= max_points) {
+      reason = BatchClose::kPoints;
+      break;
+    }
     if (!q_.empty()) {
       const std::size_t sz = q_.front().request.points.size();
       if (points + sz > max_points) {

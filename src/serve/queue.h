@@ -3,16 +3,17 @@
 // The queue is the service's only backpressure point: push() never
 // blocks — a full queue rejects immediately (Admit::kFull) so callers
 // get a loaded-shed answer instead of unbounded latency, and a closed
-// queue rejects with Admit::kClosed. Consumers block in pop()/
-// pop_batch(); close() wakes them all, after which pops DRAIN the
-// backlog (graceful shutdown: every admitted request is still handed to
-// a worker) and then return empty.
+// queue rejects with Admit::kClosed. Consumers block in pop_batch();
+// close() wakes them all, after which pops DRAIN the backlog (graceful
+// shutdown: every admitted request is still handed to a worker) and
+// then return empty.
 //
 // pop_batch implements the batching window: it blocks for the first
 // item, then keeps taking already-queued items — waiting up to `window`
 // for stragglers — until the request or point budget is reached. The
 // window prices latency against coalescing; the budgets bound the work
-// of one run.
+// of one run. A budget of one request with no window pops one item at
+// a time (the service's large lane).
 #pragma once
 
 #include <chrono>
@@ -21,7 +22,6 @@
 #include <deque>
 #include <future>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "serve/request.h"
@@ -72,16 +72,13 @@ class BoundedQueue {
   /// still holds the promise to answer the rejection on).
   Admit push(Pending& p);
 
-  /// One item, blocking until something arrives or the queue closes.
-  /// Empty optional = closed and fully drained.
-  std::optional<Pending> pop();
-
   /// Up to max_requests items totalling at most max_points input points
   /// (the first item is taken regardless of its size, so oversized
   /// requests cannot wedge the queue). Blocks for the first item; then
-  /// waits up to `window` past the first take for stragglers. Empty
-  /// vector = closed and fully drained. When `close_reason` is non-null
-  /// and the batch is non-empty, it reports why collection stopped.
+  /// waits up to `window` past the first take for stragglers, unless a
+  /// budget is already spent. Empty vector = closed and fully drained.
+  /// When `close_reason` is non-null and the batch is non-empty, it
+  /// reports why collection stopped.
   std::vector<Pending> pop_batch(std::size_t max_requests,
                                  std::size_t max_points,
                                  std::chrono::microseconds window,

@@ -99,7 +99,7 @@ struct Request {
 /// max_active, seed) are pure functions of the request; the wall-clock
 /// fields are not.
 struct RequestMetrics {
-  double queue_wait_ms = 0;  ///< submit -> dequeued by a worker.
+  double queue_wait_ms = 0;  ///< submit -> popped by a worker.
   double exec_ms = 0;        ///< PRAM run wall-clock.
   /// submit -> THIS request's result computed. Per-request, not
   /// batch-end: batch-mates that executed earlier in the batch report
@@ -107,7 +107,9 @@ struct RequestMetrics {
   /// time plus its wait for earlier batch-mates.
   double e2e_ms = 0;
   std::uint64_t batch_size = 0;  ///< Requests coalesced into the run.
-  std::uint64_t shard = 0;       ///< MachinePool shard that ran it.
+  /// The worker shard that ran it (HullService::shard_count() is the
+  /// large lane).
+  std::uint64_t shard = 0;
   std::uint64_t seed = 0;        ///< derive_request_seed(master, id).
   std::uint64_t steps = 0;       ///< PRAM time of this request alone.
   std::uint64_t work = 0;        ///< PRAM work of this request alone.

@@ -4,32 +4,31 @@
 //
 // Architecture (DESIGN.md "Serving layer"):
 //
-//   submit ──admission──> small queue ──batch workers──> MachinePool
-//          │                                              (leased shard,
-//          │                                               batched run)
-//          └─(points >= small_threshold)─> large queue ──> dedicated
-//                                          large worker    large shard
+//   submit ─admission─> small queue ─> `shards` workers ──┐ finish_batch:
+//      │                               (batches)          ├─> expiry, run,
+//      └─(points >= small_threshold)─> large queue ─>     │   stats, spans,
+//                                      large worker ──────┘   promises
+//                                      (batches of one)
 //
 // * Admission control happens on the caller's thread: a full queue or a
 //   shut-down service answers immediately with a ready rejected future
 //   — no request is ever silently dropped.
-// * Batch workers pop batches from the small queue (BoundedQueue::
-//   pop_batch with the policy window), lease a shard, expire any
-//   request whose deadline passed while queued, and run the rest
-//   through serve::execute_batch.
-// * The large worker runs oversized requests one at a time on its own
-//   dedicated shard so a big query never sits behind a batch (and a
-//   batch never waits on a big query).
+// * Every worker owns one pram::Machine (its shard) for the service's
+//   whole lifetime and runs one loop: pop a batch (BoundedQueue::
+//   pop_batch), then finish_batch. The small-lane workers pop under the
+//   policy window and budgets; the large-lane worker pops batches of one
+//   with no window, so a big query never sits behind a batch and a
+//   batch never waits on a big query. Both lanes share the one finish
+//   path.
 // * shutdown(drain=true) closes admissions and drains: every admitted
 //   request still executes. drain=false answers the backlog with
 //   kRejectedShutdown instead. The destructor drains.
 //
 // Tracing: with ServiceConfig::trace set, every shard gets a
-// trace::Recorder for its whole lifetime ("serve/request" phases, step
-// timeline, space gauges — the same recorder the bench harness uses).
-// A shard's recorder is only ever driven by the worker currently
-// holding that shard's lease, so the recorder's no-locking contract
-// holds; read them after shutdown().
+// trace::Recorder for the service's lifetime ("serve/request" phases,
+// step timeline, space gauges — the same recorder the bench harness
+// uses). Only the shard's own worker drives it, so the recorder's
+// no-locking contract holds; read them after shutdown().
 #pragma once
 
 #include <atomic>
@@ -42,8 +41,8 @@
 #include "exec/backend.h"
 #include "exec/native_backend.h"
 #include "obs/flight_recorder.h"
+#include "pram/machine.h"
 #include "serve/batcher.h"
-#include "serve/machine_pool.h"
 #include "serve/queue.h"
 #include "serve/request.h"
 #include "serve/stats.h"
@@ -54,11 +53,8 @@ namespace iph::serve {
 
 struct ServiceConfig {
   std::size_t queue_capacity = 1024;  ///< per queue (small and large).
-  std::size_t shards = 2;             ///< MachinePool size (batch path).
+  std::size_t shards = 2;             ///< small-lane workers (batch path).
   unsigned threads_per_shard = 0;     ///< 0 = support::env_threads().
-  std::size_t workers = 2;            ///< batch worker threads.
-  bool large_shard = true;  ///< dedicated shard+worker for big queries;
-                            ///< off = everything rides the batch path.
   BatchPolicy batch;
   std::uint64_t master_seed = 0x19910722ULL;
   bool trace = false;  ///< attach a trace::Recorder per shard.
@@ -74,25 +70,6 @@ struct ServiceConfig {
   /// thread-parallel fast path. A request naming a kind explicitly
   /// always wins over this. kDefault here is sanitized to kPram.
   exec::BackendKind backend = exec::BackendKind::kPram;
-};
-
-/// Monotonic service counters (all since construction).
-struct StatsSnapshot {
-  std::uint64_t submitted = 0;
-  std::uint64_t rejected_full = 0;
-  std::uint64_t rejected_shutdown = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t completed = 0;       ///< Answered kOk.
-  std::uint64_t batches = 0;         ///< PRAM batch runs (small path).
-  std::uint64_t batched_requests = 0;///< Requests summed over batches.
-  std::uint64_t max_batch = 0;       ///< Largest batch coalesced.
-  std::uint64_t large_requests = 0;  ///< Requests routed large.
-
-  double mean_batch() const noexcept {
-    return batches == 0 ? 0.0
-                        : static_cast<double>(batched_requests) /
-                              static_cast<double>(batches);
-  }
 };
 
 class HullService {
@@ -115,22 +92,21 @@ class HullService {
   /// rejects it.
   void shutdown(bool drain = true);
 
-  StatsSnapshot stats() const;
-
-  /// The service-level metrics registry (serve/stats.h documents the
-  /// instruments and the reconciliation invariants). Snapshot it any
-  /// time; hullserved serves it as the `statz` wire command and
-  /// hullload --scrape diffs it around a run. Counters are bumped
-  /// strictly before the corresponding promise is fulfilled, so a
-  /// client holding all its responses reads settled counters. The
-  /// latency histograms record kOk requests only — server-side p99 is
-  /// comparable to a client's ok-only percentile.
+  /// The service's metrics registry — its only counter set (serve/
+  /// stats.h documents the instruments and the reconciliation
+  /// invariants). Snapshot it any time; hullserved serves it as the
+  /// `statz` wire command and hullload --scrape diffs it around a run.
+  /// Counters are bumped strictly before the corresponding promise is
+  /// fulfilled, so a client holding all its responses reads settled
+  /// counters. The latency histograms record kOk requests only —
+  /// server-side p99 is comparable to a client's ok-only percentile.
   stats::Registry& stats_registry() noexcept { return stats_registry_; }
   const stats::Registry& stats_registry() const noexcept {
     return stats_registry_;
   }
 
-  std::size_t shard_count() const noexcept { return pool_.size(); }
+  /// Small-lane shard count; the large lane is shard index shard_count().
+  std::size_t shard_count() const noexcept { return cfg_.shards; }
   /// Shard `i`'s recorder (the large shard is index shard_count()), or
   /// nullptr unless ServiceConfig::trace. Read after shutdown().
   const trace::Recorder* recorder(std::size_t i) const;
@@ -144,20 +120,21 @@ class HullService {
   }
 
  private:
-  void batch_worker();
-  void large_worker();
+  /// One worker's life: pop batches from its lane's queue and finish
+  /// each on shard `shard`'s machine. shard == shard_count() is the
+  /// large lane.
+  void worker(std::size_t shard);
   void answer_rejection(Pending& p, Status status);
-  void finish_batch(std::vector<Pending> batch, MachinePool::Lease lease,
-                    Clock::time_point popped, const char* close_tag);
+  void finish_batch(std::vector<Pending> batch, const BackendSet& backends,
+                    std::size_t shard, Clock::time_point popped,
+                    const char* tag);
   static std::future<Response> ready_response(Response r);
   /// Assemble + publish one completed request's span tree (no-op
-  /// without a flight recorder). `phase_spans` were extracted from the
-  /// shard recorder while the lease was still held (obs/phase_link.h).
+  /// without a flight recorder). `phase_spans` come from the shard's
+  /// recorder (obs/phase_link.h).
   void publish_request_trace(const Request& req, const Response& resp,
-                             const char* close_tag,
-                             Clock::time_point enqueued,
+                             const char* tag, Clock::time_point enqueued,
                              Clock::time_point popped,
-                             Clock::time_point leased,
                              Clock::time_point started,
                              Clock::time_point completed,
                              std::uint64_t batch_size,
@@ -165,36 +142,28 @@ class HullService {
                              bool phase_truncated);
 
   ServiceConfig cfg_;
-  // Registry before queues/pool: both hold bound instrument pointers
-  // into it and touch them until the workers join, so the registry must
-  // be destroyed after them (reverse declaration order).
+  // Registry before queues and workers: both hold bound instrument
+  // pointers into it and touch them until the workers join, so the
+  // registry must be destroyed after them (reverse declaration order).
   stats::Registry stats_registry_;
   ServeStats sstats_;
   // Flight recorder after the registry (it binds instruments into it)
   // and before the workers (they publish into it until they join).
   std::unique_ptr<obs::FlightRecorder> flight_;
-  // Recorders before machines: machines are detached from observers by
-  // destruction order (pool after recorders would dangle — so pool_
-  // and large_machine_ are declared after recorders_ and destroyed
-  // first).
+  // One per shard (index shard_count() is the large lane) when
+  // ServiceConfig::trace. Recorders before machines: machines are
+  // destroyed first, so no machine outlives its observer.
   std::vector<std::unique_ptr<trace::Recorder>> recorders_;
+  // One per shard; only the shard's own worker ever drives it.
+  std::vector<std::unique_ptr<pram::Machine>> machines_;
   // The native engine is shared by every worker: NativeBackend::
   // upper_hull is safe to call concurrently (each call owns its own
-  // buffers; the pool serializes fork-join rounds), so one engine
-  // serves all shards. PRAM execution, by contrast, is per-lease — the
-  // workers wrap their leased machine in a stack PramBackend per batch.
+  // buffers; the pool serializes fork-join rounds). PRAM execution is
+  // per worker, on the machine the worker owns.
   exec::NativeBackend native_;
-  MachinePool pool_;
-  std::unique_ptr<pram::Machine> large_machine_;
   BoundedQueue small_queue_;
   BoundedQueue large_queue_;
 
-  struct Stats {
-    std::atomic<std::uint64_t> submitted{0}, rejected_full{0},
-        rejected_shutdown{0}, expired{0}, completed{0}, batches{0},
-        batched_requests{0}, max_batch{0}, large_requests{0};
-  };
-  mutable Stats stats_;
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<bool> closed_{false};
   std::atomic<bool> abandon_{false};  ///< drain=false shutdown.

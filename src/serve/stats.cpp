@@ -8,8 +8,7 @@ using stats::labeled;
 
 }  // namespace
 
-ServeStats::ServeStats(stats::Registry& registry, std::size_t pool_shards,
-                       bool large_shard)
+ServeStats::ServeStats(stats::Registry& registry, std::size_t shards)
     : submitted(registry.counter(statnames::kSubmitted)),
       accepted(registry.counter(statnames::kAccepted)),
       rejected_full(registry.counter(
@@ -45,15 +44,13 @@ ServeStats::ServeStats(stats::Registry& registry, std::size_t pool_shards,
                                  stats::latency_bounds_ms())),
       e2e_ms(registry.histogram(statnames::kE2eMs,
                                 stats::latency_bounds_ms())) {
-  shard_busy_us.reserve(pool_shards + (large_shard ? 1 : 0));
-  for (std::size_t i = 0; i < pool_shards; ++i) {
+  shard_busy_us.reserve(shards + 1);
+  for (std::size_t i = 0; i < shards; ++i) {
     shard_busy_us.push_back(&registry.counter(
         labeled(statnames::kShardBusyBase, "shard", std::to_string(i))));
   }
-  if (large_shard) {
-    shard_busy_us.push_back(&registry.counter(
-        labeled(statnames::kShardBusyBase, "shard", "large")));
-  }
+  shard_busy_us.push_back(&registry.counter(
+      labeled(statnames::kShardBusyBase, "shard", "large")));
   // Register one counter per summable pram::Metrics counter, in the
   // visitor's fixed order; fold_pram walks the same order by index.
   pram::for_each_summable_counter(
@@ -61,6 +58,13 @@ ServeStats::ServeStats(stats::Registry& registry, std::size_t pool_shards,
         pram_counters_.push_back(&registry.counter(
             std::string(statnames::kPramPrefix) + name + "_total"));
       });
+}
+
+double mean_batch(const stats::RegistrySnapshot& s) noexcept {
+  const stats::HistogramSnapshot* h = s.histogram(statnames::kBatchSize);
+  return h != nullptr && h->count != 0
+             ? h->sum / static_cast<double>(h->count)
+             : 0.0;
 }
 
 void ServeStats::fold_pram(const pram::Metrics& m) noexcept {

@@ -3,9 +3,9 @@
 // ServeStats owns nothing: it registers the serving stack's instruments
 // in a caller-provided stats::Registry (so a process embedding several
 // services could share or separate registries) and hands out typed
-// references. HullService constructs one over its own registry and
-// wires the pieces: the queues' depth gauges, the pool's occupancy
-// instruments, and its own admission/latency recording.
+// references. HullService constructs one over its own registry — the
+// service's only counter set — and wires the pieces: the queues' depth
+// gauges and its own admission, batch, occupancy and latency recording.
 //
 // Metric names are exported verbatim (Prometheus-style, labels baked in
 // via stats::labeled) — statnames:: has the constants so the server,
@@ -19,6 +19,11 @@
 // and every accepted request terminates exactly once as completed,
 // expired, or rejected{shutdown} (abandoned at shutdown):
 //   accepted == completed + expired + rejected_at_shutdown_drain
+// Both lanes run the same finish path, and a large-lane run counts as a
+// batch of one, so every executed batch records its size once:
+//   sum(batch_size) == completed
+// and every popped batch records one close reason, executed or not:
+//   sum(batch_close) == batches + all-expired batches
 // All counters are bumped BEFORE the corresponding promise is
 // fulfilled; a client that has collected all its responses therefore
 // always reads fully-settled counters.
@@ -56,15 +61,17 @@ inline constexpr const char* kPramPrefix = "iph_serve_pram_";
 inline constexpr const char* kBackendBase = "iph_serve_backend_requests_total";
 }  // namespace statnames
 
+/// Mean executed batch size over a snapshot (or a diff of two):
+/// iph_serve_batch_size sum over its count, 0 when no batch ran.
+double mean_batch(const stats::RegistrySnapshot& s) noexcept;
+
 /// Typed handles into a Registry for every serving instrument (see
-/// statnames for the exported spellings). `pool_shards` sizes the
-/// per-shard busy counters (labeled "0".."n-1"); when `large_shard` is
-/// true one more counter labeled "large" is appended (index
-/// pool_shards) for the dedicated large-query machine.
+/// statnames for the exported spellings). `shards` sizes the per-shard
+/// busy counters of the small lane (labeled "0".."n-1"); one more
+/// counter labeled "large" follows (index `shards`) for the large lane.
 class ServeStats {
  public:
-  ServeStats(stats::Registry& registry, std::size_t pool_shards,
-             bool large_shard);
+  ServeStats(stats::Registry& registry, std::size_t shards);
 
   // Admission and terminal-state counters.
   stats::Counter& submitted;
@@ -88,7 +95,7 @@ class ServeStats {
   stats::Counter& backend_pram;
   stats::Counter& backend_native;
 
-  // Occupancy.
+  // Occupancy. `shards_leased` counts shards running a batch right now.
   stats::Gauge& small_depth;
   stats::Gauge& large_depth;
   stats::Gauge& shards_leased;
@@ -98,8 +105,8 @@ class ServeStats {
   stats::Histogram& exec_ms;
   stats::Histogram& e2e_ms;
 
-  /// busy-time counters, one per shard index ("large" is the last when
-  /// the service runs a dedicated large shard).
+  /// Busy-time counters (pop to last completion of each executed
+  /// batch), one per shard index; "large" is the last.
   std::vector<stats::Counter*> shard_busy_us;
 
   /// Fold a finished run's PRAM counters into the registry's

@@ -305,7 +305,7 @@ TEST(Machine, GrainDoesNotChangeResultsOrMetrics) {
   EXPECT_EQ(run(1u << 20), base);  // everything serial
 }
 
-// --- reset (the MachinePool lease-reuse hook) -------------------------
+// --- reset (the serve workers' machine-reuse hook) --------------------
 
 TEST(Machine, ResetReplaysAFreshMachine) {
   auto fingerprint = [](Machine& m) {

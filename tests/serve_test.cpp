@@ -1,4 +1,4 @@
-// iph::serve — queue admission, deadline expiry, shard leasing, batching
+// iph::serve — queue admission, deadline expiry, lane routing, batching
 // and shutdown-drain semantics. The concurrency tests here are the ones
 // CI runs under TSan with the step-race checker armed (IPH_PRAM_CHECK=1)
 // — they hammer submit/shutdown races on purpose.
@@ -18,7 +18,6 @@
 #include "geom/workloads.h"
 #include "pram/machine.h"
 #include "serve/batcher.h"
-#include "serve/machine_pool.h"
 #include "serve/queue.h"
 #include "serve/request.h"
 #include "serve/service.h"
@@ -65,9 +64,9 @@ TEST(BoundedQueue, RejectsWhenFullAndAfterClose) {
   Pending d;
   EXPECT_EQ(q.push(d), BoundedQueue::Admit::kClosed);
   // close() drains: both admitted items still come out, then empty.
-  EXPECT_TRUE(q.pop().has_value());
-  EXPECT_TRUE(q.pop().has_value());
-  EXPECT_FALSE(q.pop().has_value());
+  EXPECT_EQ(q.pop_batch(1, 1, 0us).size(), 1u);
+  EXPECT_EQ(q.pop_batch(1, 1, 0us).size(), 1u);
+  EXPECT_TRUE(q.pop_batch(1, 1, 0us).empty());
 }
 
 TEST(BoundedQueue, PopBatchRespectsBudgetsAndTakesOversizedFirst) {
@@ -126,6 +125,15 @@ TEST(BoundedQueue, PopBatchReportsCloseReasonAndDepth) {
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(reason, BatchClose::kWindow);
   EXPECT_EQ(depth.value(), 0);
+  // An oversized head alone in the queue spends the point budget: the
+  // batch closes at once instead of waiting out the window for a
+  // straggler that could not fit.
+  push_n_points(1000);
+  const Clock::time_point t0 = Clock::now();
+  batch = q.pop_batch(8, 500, 1s, &reason);
+  EXPECT_LT(ms_between(t0, Clock::now()), 500.0);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(reason, BatchClose::kPoints);
   // A closed queue hands out its backlog under the kClosed reason.
   push_n_points(100);
   q.close();
@@ -134,47 +142,21 @@ TEST(BoundedQueue, PopBatchReportsCloseReasonAndDepth) {
   EXPECT_EQ(reason, BatchClose::kClosed);
 }
 
-// --- MachinePool shard leasing ----------------------------------------
-
-TEST(MachinePool, TryAcquireReportsExhaustion) {
-  MachinePool pool(2, 1, 7);
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_EQ(pool.available(), 2u);
-  auto a = pool.try_acquire();
-  auto b = pool.try_acquire();
-  ASSERT_TRUE(a && b);
-  EXPECT_NE(a->shard(), b->shard());
-  EXPECT_EQ(pool.available(), 0u);
-  EXPECT_FALSE(pool.try_acquire().has_value());  // exhausted
-  a->release();
-  EXPECT_EQ(pool.available(), 1u);
-  auto c = pool.try_acquire();
-  ASSERT_TRUE(c);
-  EXPECT_EQ(c->shard(), a->shard());  // the freed shard came back
-}
-
-TEST(MachinePool, AcquireBlocksUntilAShardFrees) {
-  MachinePool pool(1, 1, 7);
-  MachinePool::Lease held = pool.acquire();
-  std::atomic<bool> acquired{false};
-  std::thread waiter([&] {
-    MachinePool::Lease l = pool.acquire();
-    acquired.store(true);
-    l.release();
-  });
-  std::this_thread::sleep_for(10ms);
-  EXPECT_FALSE(acquired.load());  // still blocked on the held lease
-  held.release();
-  waiter.join();
-  EXPECT_TRUE(acquired.load());
-}
-
 // --- HullService ------------------------------------------------------
+
+/// The registry name of the rejected counter for `reason`.
+std::string rejected(const char* reason) {
+  return stats::labeled(statnames::kRejectedBase, "reason", reason);
+}
+
+/// One registry counter, read live (0 when absent).
+std::uint64_t counter(const HullService& svc, const std::string& name) {
+  return svc.stats_registry().snapshot().counter_or0(name);
+}
 
 ServiceConfig small_config() {
   ServiceConfig cfg;
   cfg.shards = 2;
-  cfg.workers = 2;
   cfg.threads_per_shard = 2;
   cfg.queue_capacity = 256;
   cfg.batch.window = 200us;
@@ -210,7 +192,7 @@ TEST(HullService, DeadlineExpiryMidQueueAnswersExpired) {
   r.deadline = Clock::now() - 1ms;  // already past when dequeued
   Response resp = svc.submit(std::move(r)).get();
   EXPECT_EQ(resp.status, Status::kExpired);
-  EXPECT_EQ(svc.stats().expired, 1u);
+  EXPECT_EQ(counter(svc, statnames::kExpired), 1u);
   // A generous deadline is met normally.
   Request ok = make_request(6, 200, 1);
   ok.deadline = Clock::now() + 10min;
@@ -223,7 +205,6 @@ TEST(HullService, QueueFullRejectsWithReason) {
   // 512-point hull, so a tight burst must overflow the queue and the
   // overflow must come back as an immediate kRejectedFull answer.
   ServiceConfig cfg = small_config();
-  cfg.workers = 1;
   cfg.shards = 1;
   cfg.queue_capacity = 1;
   cfg.batch.max_batch_requests = 1;
@@ -243,9 +224,9 @@ TEST(HullService, QueueFullRejectsWithReason) {
   }
   EXPECT_GT(full, 0u) << "capacity-1 queue never overflowed";
   EXPECT_GT(ok, 0u);
-  const StatsSnapshot s = svc.stats();
-  EXPECT_EQ(s.rejected_full, full);
-  EXPECT_EQ(s.submitted, futs.size());
+  const stats::RegistrySnapshot s = svc.stats_registry().snapshot();
+  EXPECT_EQ(s.counter_or0(rejected("full")), full);
+  EXPECT_EQ(s.counter_or0(statnames::kSubmitted), futs.size());
 }
 
 TEST(HullService, LargeRequestsRouteToTheDedicatedShard) {
@@ -258,7 +239,17 @@ TEST(HullService, LargeRequestsRouteToTheDedicatedShard) {
   ASSERT_EQ(small.status, Status::kOk);
   EXPECT_EQ(big.metrics.shard, svc.shard_count());  // large shard index
   EXPECT_LT(small.metrics.shard, svc.shard_count());
-  EXPECT_EQ(svc.stats().large_requests, 1u);
+  EXPECT_EQ(big.metrics.batch_size, 1u);  // the large lane's batch of one
+  EXPECT_EQ(counter(svc, statnames::kLargeRequests), 1u);
+  // Its trace is tagged by lane, not by a batch close reason.
+  bool saw_big = false;
+  for (const obs::CompletedTrace& t : svc.flight_recorder()->snapshot()) {
+    if (t.trace_id == big.trace.trace_id) {
+      saw_big = true;
+      EXPECT_STREQ(t.tag, "large");
+    }
+  }
+  EXPECT_TRUE(saw_big);
 }
 
 TEST(HullService, SubmitAfterShutdownIsRejected) {
@@ -289,7 +280,7 @@ TEST(HullService, ConcurrentSubmitAndShutdownDrainAnswersEverything) {
   svc.shutdown(/*drain=*/true);  // races the submitting clients
   for (auto& t : clients) t.join();
 
-  std::uint64_t ok = 0, rejected = 0, full = 0;
+  std::uint64_t ok = 0, shut = 0, full = 0;
   for (auto& per_client : futs) {
     ASSERT_EQ(per_client.size(), static_cast<std::size_t>(kPerClient));
     for (auto& f : per_client) {
@@ -300,7 +291,7 @@ TEST(HullService, ConcurrentSubmitAndShutdownDrainAnswersEverything) {
           ++ok;
           break;
         case Status::kRejectedShutdown:
-          ++rejected;
+          ++shut;
           break;
         case Status::kRejectedFull:
           ++full;
@@ -310,18 +301,17 @@ TEST(HullService, ConcurrentSubmitAndShutdownDrainAnswersEverything) {
       }
     }
   }
-  const StatsSnapshot s = svc.stats();
-  EXPECT_EQ(s.submitted, kClients * kPerClient);
-  EXPECT_EQ(ok + rejected + full, kClients * kPerClient);
+  const stats::RegistrySnapshot s = svc.stats_registry().snapshot();
+  EXPECT_EQ(s.counter_or0(statnames::kSubmitted), kClients * kPerClient);
+  EXPECT_EQ(ok + shut + full, kClients * kPerClient);
   // Drain semantics: everything admitted before close executed.
-  EXPECT_EQ(s.completed, ok);
-  EXPECT_EQ(s.rejected_shutdown, rejected);
-  EXPECT_EQ(s.rejected_full, full);
+  EXPECT_EQ(s.counter_or0(statnames::kCompleted), ok);
+  EXPECT_EQ(s.counter_or0(rejected("shutdown")), shut);
+  EXPECT_EQ(s.counter_or0(rejected("full")), full);
 }
 
 TEST(HullService, ShutdownWithoutDrainAbandonsTheBacklog) {
   ServiceConfig cfg = small_config();
-  cfg.workers = 1;
   cfg.shards = 1;
   cfg.batch.window = 50ms;  // keep the backlog queued long enough
   cfg.batch.max_batch_requests = 1;
@@ -339,47 +329,100 @@ TEST(HullService, ShutdownWithoutDrainAbandonsTheBacklog) {
   EXPECT_EQ(answered, futs.size());  // abandoned, never silent
 }
 
-// Regression: shutdown must settle the occupancy gauges no matter how
-// it exits. Drain executes the backlog; abandon answers it without
-// executing — either way no queue slot or shard lease may stay
-// "occupied" in the registry once shutdown() returns (hullload --scrape
-// and the session smoke both assert the gauges at zero afterwards).
-TEST(HullService, ShutdownSettlesGaugesAfterDrainAndAbandon) {
+// The serve/stats.h identities, on a snapshot taken after shutdown(),
+// for traffic popped in one-request batches (so every all-expired batch
+// is one expired request). `turned_away` counts the shutdown rejects
+// answered at admission; the rest were admitted, then abandoned.
+void expect_serve_identities(const stats::RegistrySnapshot& s,
+                             std::uint64_t turned_away) {
   namespace sn = statnames;
-  for (const bool drain : {true, false}) {
-    ServiceConfig cfg = small_config();
-    cfg.workers = 1;
-    cfg.shards = 1;
-    cfg.batch.window = 50ms;  // keep a real backlog queued at shutdown
-    cfg.batch.max_batch_requests = 1;
-    HullService svc(cfg);
-    std::vector<std::future<Response>> futs;
-    for (int i = 0; i < 24; ++i) {
-      futs.push_back(svc.submit(make_request(0, 64, 4)));
+  const std::uint64_t completed = s.counter_or0(sn::kCompleted);
+  const std::uint64_t expired = s.counter_or0(sn::kExpired);
+  const std::uint64_t shutdown = s.counter_or0(rejected("shutdown"));
+  ASSERT_GE(shutdown, turned_away);
+  // Terminal states: every submit is admitted or rejected, every
+  // admitted request completes, expires or is abandoned, and every
+  // completed one ran on exactly one engine.
+  EXPECT_EQ(s.counter_or0(sn::kSubmitted),
+            s.counter_or0(sn::kAccepted) + s.counter_or0(rejected("full")) +
+                turned_away);
+  EXPECT_EQ(s.counter_or0(sn::kAccepted),
+            completed + expired + (shutdown - turned_away));
+  EXPECT_EQ(s.counter_or0(
+                stats::labeled(sn::kBackendBase, "backend", "pram")) +
+                s.counter_or0(
+                    stats::labeled(sn::kBackendBase, "backend", "native")),
+            completed);
+  EXPECT_EQ(s.counter_or0(stats::labeled(obs::statnames::kSpansRecordedBase,
+                                         "kind", "request")),
+            completed * obs::kSpansPerRequest);
+  // Every popped, non-abandoned batch closed for one reason; `batches`
+  // counts only the executed ones, each recording its size once.
+  std::uint64_t closes = 0;
+  for (const char* why : {"window", "requests", "points", "closed"}) {
+    closes += s.counter_or0(stats::labeled(sn::kBatchCloseBase, "reason", why));
+  }
+  EXPECT_EQ(closes, s.counter_or0(sn::kBatches) + expired);
+  const stats::HistogramSnapshot* bs = s.histogram(sn::kBatchSize);
+  ASSERT_NE(bs, nullptr);
+  EXPECT_EQ(bs->count, s.counter_or0(sn::kBatches));
+  EXPECT_DOUBLE_EQ(bs->sum, static_cast<double>(completed));
+  // No queue slot or running shard stays occupied.
+  for (const std::string& g :
+       {stats::labeled(sn::kQueueDepthBase, "queue", "small"),
+        stats::labeled(sn::kQueueDepthBase, "queue", "large"),
+        std::string(sn::kShardsLeased)}) {
+    const std::int64_t* v = s.gauge(g);
+    ASSERT_NE(v, nullptr) << g;
+    EXPECT_EQ(*v, 0) << g;
+  }
+}
+
+/// A one-shard service whose traffic all rides one lane: the small lane
+/// in one-request batches, or the large lane. The requests sent to it
+/// (64..512 points) fall below the default small_threshold and above
+/// the lowered one.
+ServiceConfig lane_config(bool large) {
+  ServiceConfig cfg = small_config();
+  cfg.shards = 1;
+  cfg.batch.max_batch_requests = 1;
+  if (large) cfg.batch.small_threshold = 32;
+  return cfg;
+}
+
+// Regression: shutdown must settle the occupancy gauges no matter how
+// it exits, on either lane. Drain executes the backlog; abandon answers
+// it without executing — either way no queue slot or running shard may
+// stay "occupied" in the registry once shutdown() returns (hullload
+// --scrape and the session smoke both assert the gauges at zero
+// afterwards), and the terminal-state identities still hold.
+TEST(HullService, ShutdownSettlesGaugesAfterDrainAndAbandon) {
+  for (const bool large : {false, true}) {
+    for (const bool drain : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "large=" << large
+                                      << " drain=" << drain);
+      ServiceConfig cfg = lane_config(large);
+      cfg.batch.window = 50ms;  // keep a real backlog queued at shutdown
+      HullService svc(cfg);
+      std::vector<std::future<Response>> futs;
+      for (int i = 0; i < 24; ++i) {
+        futs.push_back(svc.submit(make_request(0, 64, 4)));
+      }
+      svc.shutdown(drain);
+      for (auto& f : futs) {
+        ASSERT_EQ(f.wait_for(0s), std::future_status::ready);
+        f.get();
+      }
+      const stats::RegistrySnapshot snap = svc.stats_registry().snapshot();
+      expect_serve_identities(snap, /*turned_away=*/0);
+      EXPECT_EQ(snap.counter_or0(statnames::kLargeRequests),
+                large ? futs.size() : 0u);
     }
-    svc.shutdown(drain);
-    for (auto& f : futs) {
-      ASSERT_EQ(f.wait_for(0s), std::future_status::ready);
-      f.get();
-    }
-    const stats::RegistrySnapshot snap = svc.stats_registry().snapshot();
-    const std::int64_t* small_depth = snap.gauge(
-        stats::labeled(sn::kQueueDepthBase, "queue", "small"));
-    const std::int64_t* large_depth = snap.gauge(
-        stats::labeled(sn::kQueueDepthBase, "queue", "large"));
-    const std::int64_t* leased = snap.gauge(sn::kShardsLeased);
-    ASSERT_NE(small_depth, nullptr);
-    ASSERT_NE(large_depth, nullptr);
-    ASSERT_NE(leased, nullptr);
-    EXPECT_EQ(*small_depth, 0) << "drain=" << drain;
-    EXPECT_EQ(*large_depth, 0) << "drain=" << drain;
-    EXPECT_EQ(*leased, 0) << "drain=" << drain;
   }
 }
 
 TEST(HullService, BatchingCoalescesABurst) {
   ServiceConfig cfg = small_config();
-  cfg.workers = 1;
   cfg.shards = 1;
   cfg.batch.window = 20ms;
   HullService svc(cfg);
@@ -391,12 +434,11 @@ TEST(HullService, BatchingCoalescesABurst) {
   for (auto& f : futs) {
     EXPECT_EQ(f.get().status, Status::kOk);
   }
-  const StatsSnapshot s = svc.stats();
-  EXPECT_EQ(s.completed, 32u);
+  const stats::RegistrySnapshot s = svc.stats_registry().snapshot();
+  EXPECT_EQ(s.counter_or0(statnames::kCompleted), 32u);
   // One worker + a 20ms window: the burst cannot have run one-per-batch.
-  EXPECT_LT(s.batches, 32u);
-  EXPECT_GT(s.max_batch, 1u);
-  EXPECT_GT(s.mean_batch(), 1.0);
+  EXPECT_LT(s.counter_or0(statnames::kBatches), 32u);
+  EXPECT_GT(mean_batch(s), 1.0);
 }
 
 TEST(ExecuteBatch, ReportsPerRequestCompletionAndPramTotals) {
@@ -434,7 +476,6 @@ TEST(ExecuteBatch, ReportsPerRequestCompletionAndPramTotals) {
 // sequentially-executed batch.
 TEST(HullService, BatchMatesReportPerRequestTimings) {
   ServiceConfig cfg = small_config();
-  cfg.workers = 1;
   cfg.shards = 1;
   cfg.batch.window = 500ms;        // far wider than the submit burst...
   cfg.batch.max_batch_requests = 8;  // ...so the count closes the batch
@@ -463,81 +504,68 @@ TEST(HullService, BatchMatesReportPerRequestTimings) {
   }
 }
 
+// Both lanes share one finish path, so each reconciles the same way:
+// the small lane in one-request batches, the large lane in its batches
+// of one. The traffic mixes ok, full, expired and shutdown-rejected
+// requests.
 TEST(HullService, StatsRegistryReconcilesAfterMixedTraffic) {
-  ServiceConfig cfg = small_config();
-  cfg.workers = 1;
-  cfg.shards = 1;
-  cfg.queue_capacity = 1;
-  cfg.batch.max_batch_requests = 1;
-  HullService svc(cfg);
-  std::vector<std::future<Response>> futs;
-  futs.reserve(34);
-  for (int i = 0; i < 32; ++i) {
-    futs.push_back(svc.submit(make_request(0, 512, 3)));  // some overflow
-  }
-  Request late = make_request(0, 128, 3);
-  late.deadline = Clock::now() - 1ms;  // expires in queue
-  futs.push_back(svc.submit(std::move(late)));
-  for (auto& f : futs) f.wait();
-  svc.shutdown();
-  futs.push_back(svc.submit(make_request(0, 128, 3)));  // rejected: shutdown
-
-  std::uint64_t ok = 0, full = 0, expired = 0, shutdown = 0;
-  for (auto& f : futs) {
-    switch (f.get().status) {
-      case Status::kOk: ++ok; break;
-      case Status::kRejectedFull: ++full; break;
-      case Status::kExpired: ++expired; break;
-      case Status::kRejectedShutdown: ++shutdown; break;
-    }
-  }
-  EXPECT_GT(full, 0u) << "capacity-1 queue never overflowed";
-  ASSERT_EQ(shutdown, 1u);
-
-  // The registry must agree with the legacy StatsSnapshot AND with the
-  // per-future tally — the invariants hullload --scrape asserts live.
   namespace sn = statnames;
-  const stats::RegistrySnapshot snap = svc.stats_registry().snapshot();
-  const StatsSnapshot legacy = svc.stats();
-  EXPECT_EQ(snap.counter_or0(sn::kSubmitted), legacy.submitted);
-  EXPECT_EQ(snap.counter_or0(sn::kCompleted), legacy.completed);
-  EXPECT_EQ(snap.counter_or0(sn::kExpired), legacy.expired);
-  EXPECT_EQ(snap.counter_or0(
-                stats::labeled(sn::kRejectedBase, "reason", "full")),
-            legacy.rejected_full);
-  EXPECT_EQ(snap.counter_or0(
-                stats::labeled(sn::kRejectedBase, "reason", "shutdown")),
-            legacy.rejected_shutdown);
-  EXPECT_EQ(snap.counter_or0(sn::kCompleted), ok);
-  EXPECT_EQ(snap.counter_or0(sn::kExpired), expired);
-  EXPECT_EQ(snap.counter_or0(sn::kSubmitted), futs.size());
-  // Conservation: submitted == every terminal state, exactly once.
-  EXPECT_EQ(snap.counter_or0(sn::kSubmitted),
-            ok + full + expired + shutdown);
-  // Latency histograms record kOk requests only.
-  const stats::HistogramSnapshot* e2e = snap.histogram(sn::kE2eMs);
-  ASSERT_NE(e2e, nullptr);
-  EXPECT_EQ(e2e->count, ok);
-  const stats::HistogramSnapshot* qw = snap.histogram(sn::kQueueWaitMs);
-  ASSERT_NE(qw, nullptr);
-  EXPECT_EQ(qw->count, ok);
-  // Every popped batch closed for some reason. `batches` counts only
-  // executed batches; with max_batch_requests=1 the expired request is
-  // a whole (all-expired, never executed) batch of its own, so the
-  // close-reason total exceeds `batches` by exactly `expired`.
-  const std::uint64_t closes =
-      snap.counter_or0(
-          stats::labeled(sn::kBatchCloseBase, "reason", "window")) +
-      snap.counter_or0(
-          stats::labeled(sn::kBatchCloseBase, "reason", "requests")) +
-      snap.counter_or0(
-          stats::labeled(sn::kBatchCloseBase, "reason", "points")) +
-      snap.counter_or0(
-          stats::labeled(sn::kBatchCloseBase, "reason", "closed"));
-  EXPECT_EQ(closes, snap.counter_or0(sn::kBatches) + expired);
-  const stats::HistogramSnapshot* bs = snap.histogram(sn::kBatchSize);
-  ASSERT_NE(bs, nullptr);
-  EXPECT_DOUBLE_EQ(bs->sum, static_cast<double>(ok));
+  for (const bool large : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "large=" << large);
+    ServiceConfig cfg = lane_config(large);
+    cfg.queue_capacity = 1;
+    HullService svc(cfg);
+    std::vector<std::future<Response>> futs;
+    futs.reserve(34);
+    for (int i = 0; i < 32; ++i) {
+      futs.push_back(svc.submit(make_request(0, 512, 3)));  // some overflow
+    }
+    for (auto& f : futs) f.wait();  // drained: the next one is admitted
+    Request late = make_request(0, 128, 3);
+    late.deadline = Clock::now() - 1ms;  // expires in queue
+    futs.push_back(svc.submit(std::move(late)));
+    futs.back().wait();
+    svc.shutdown();
+    futs.push_back(svc.submit(make_request(0, 128, 3)));  // rejected: shutdown
+
+    std::uint64_t ok = 0, full = 0, expired = 0, shutdown = 0;
+    for (auto& f : futs) {
+      switch (f.get().status) {
+        case Status::kOk: ++ok; break;
+        case Status::kRejectedFull: ++full; break;
+        case Status::kExpired: ++expired; break;
+        case Status::kRejectedShutdown: ++shutdown; break;
+      }
+    }
+    EXPECT_GT(full, 0u) << "capacity-1 queue never overflowed";
+    ASSERT_EQ(expired, 1u);
+    ASSERT_EQ(shutdown, 1u);
+
+    // The registry must agree with the per-future tally — the
+    // invariants hullload --scrape asserts live.
+    const stats::RegistrySnapshot snap = svc.stats_registry().snapshot();
+    expect_serve_identities(snap, /*turned_away=*/1);
+    EXPECT_EQ(snap.counter_or0(sn::kCompleted), ok);
+    EXPECT_EQ(snap.counter_or0(sn::kExpired), expired);
+    EXPECT_EQ(snap.counter_or0(rejected("full")), full);
+    EXPECT_EQ(snap.counter_or0(rejected("shutdown")), shutdown);
+    EXPECT_EQ(snap.counter_or0(sn::kSubmitted), futs.size());
+    EXPECT_EQ(snap.counter_or0(sn::kSubmitted),
+              ok + full + expired + shutdown);
+    EXPECT_EQ(snap.counter_or0(sn::kLargeRequests),
+              large ? ok + expired : 0u);
+    // Latency histograms record kOk requests only.
+    const stats::HistogramSnapshot* e2e = snap.histogram(sn::kE2eMs);
+    ASSERT_NE(e2e, nullptr);
+    EXPECT_EQ(e2e->count, ok);
+    const stats::HistogramSnapshot* qw = snap.histogram(sn::kQueueWaitMs);
+    ASSERT_NE(qw, nullptr);
+    EXPECT_EQ(qw->count, ok);
+    // The lane's shard metered its busy time.
+    const std::uint64_t busy = snap.counter_or0(stats::labeled(
+        sn::kShardBusyBase, "shard", large ? "large" : "0"));
+    EXPECT_GT(busy, 0u);
+  }
 }
 
 TEST(HullService, TracingRecordsServePhases) {
@@ -629,7 +657,6 @@ TEST(HullService, ServiceDefaultBackendRoutesAndExplicitWins) {
 // asserts).
 TEST(HullService, MixedBatchSplitsBackendCounters) {
   ServiceConfig cfg = small_config();
-  cfg.workers = 1;
   cfg.shards = 1;
   cfg.batch.window = 500ms;
   cfg.batch.max_batch_requests = 8;
@@ -797,7 +824,6 @@ TEST(ExecuteBatch, ReportsPerRequestStartStampsAndEventRanges) {
 // against the serve counters (the identity hullload --scrape checks).
 TEST(HullService, TraceStampingAdoptionAndExactSpanReconciliation) {
   ServiceConfig cfg = small_config();
-  cfg.workers = 1;
   cfg.shards = 1;
   HullService svc(cfg);
   ASSERT_NE(svc.flight_recorder(), nullptr);
@@ -856,7 +882,6 @@ TEST(HullService, TraceStampingAdoptionAndExactSpanReconciliation) {
 // mate's exec span would have been the batch tail's interval).
 TEST(HullService, BatchMatesGetDisjointExecSpans) {
   ServiceConfig cfg = small_config();
-  cfg.workers = 1;
   cfg.shards = 1;
   cfg.batch.window = 500ms;
   cfg.batch.max_batch_requests = 8;
@@ -899,7 +924,6 @@ TEST(HullService, BatchMatesGetDisjointExecSpans) {
 TEST(HullService, PramTracesLinkPhaseSpansUnderExec) {
   ServiceConfig cfg = small_config();
   cfg.trace = true;
-  cfg.workers = 1;
   cfg.shards = 1;
   HullService svc(cfg);
   for (int i = 0; i < 3; ++i) {

@@ -27,7 +27,8 @@
 // accounting against this client's own tally: every per-status counter
 // must reconcile EXACTLY (the run must be the server's only traffic),
 // including the backend-labeled served counters (pram + native ==
-// completed; with --backend pinned, that engine's counter == ok), and
+// completed; with --backend pinned, that engine's counter == ok) and
+// the batch sizes (iph_serve_batch_size sum == completed), and
 // server-side ok-e2e p99 must be within --scrape-tol (a ratio;
 // default 8, floored at 0.05 ms to ignore sub-bucket noise; 0 disables)
 // of the client-observed p99. Violations print loudly and exit 1.
@@ -152,8 +153,7 @@ int usage(const char* argv0) {
       "usage: %s [--clients C] [--requests R] [--qps Q] [--n N]\n"
       "          [--workload W] [--seed S] [--deadline-ms D]\n"
       "          [--connect HOST:PORT | --endpoints H:P[,H:P...] |\n"
-      "           --shards N --workers N --threads N\n"
-      "           --capacity N --window-us U --no-large]\n"
+      "           --shards N --threads N --capacity N --window-us U]\n"
       "          [--backend pram|native|default]\n"
       "          [--stream] [--append-points K]\n"
       "          [--expect-all-ok] [--json]\n"
@@ -602,7 +602,7 @@ bool scrape_targets(const std::vector<std::string>& targets,
 /// "mixed"). When `want` names an engine, that engine's counter must
 /// equal the client's ok count exactly; either way pram + native must
 /// equal completed (every completed request was served by exactly one
-/// engine).
+/// engine), and so must the summed batch sizes.
 bool check_scrape(const iph::stats::RegistrySnapshot& d, const Tally& total,
                   double client_p99, double tol,
                   iph::exec::BackendKind want, double* server_p99,
@@ -716,6 +716,15 @@ bool check_scrape(const iph::stats::RegistrySnapshot& d, const Tally& total,
   } else if (want == iph::exec::BackendKind::kNative) {
     must_equal("backend=native requests", srv_bk_native, total.ok);
   }
+  // Batch conservation: both lanes record each executed batch's size
+  // once (a large-lane run is a batch of one), so the sizes sum to the
+  // completed count — per server, and so on a merged fleet snapshot.
+  const iph::stats::HistogramSnapshot* batch_size = d.histogram(sn::kBatchSize);
+  must_equal("batch_size sum vs completed",
+             batch_size != nullptr
+                 ? static_cast<std::uint64_t>(batch_size->sum)
+                 : 0,
+             srv_completed);
   // Tracing conservation: with a flight recorder armed, every completed
   // request published exactly one kind=request trace of exactly
   // kSpansPerRequest spans (publish counts at attempt time, so ring
@@ -1018,16 +1027,12 @@ int main(int argc, char** argv) {
       if (!iph::exec::parse_backend(v, &opt.backend)) return usage(argv[0]);
     } else if (a == "--shards" && (v = next())) {
       opt.cfg.shards = static_cast<std::size_t>(std::atoll(v));
-    } else if (a == "--workers" && (v = next())) {
-      opt.cfg.workers = static_cast<std::size_t>(std::atoll(v));
     } else if (a == "--threads" && (v = next())) {
       opt.cfg.threads_per_shard = static_cast<unsigned>(std::atoi(v));
     } else if (a == "--capacity" && (v = next())) {
       opt.cfg.queue_capacity = static_cast<std::size_t>(std::atoll(v));
     } else if (a == "--window-us" && (v = next())) {
       opt.cfg.batch.window = std::chrono::microseconds(std::atoll(v));
-    } else if (a == "--no-large") {
-      opt.cfg.large_shard = false;
     } else if (a == "--stream") {
       opt.stream = true;
     } else if (a == "--append-points" && (v = next())) {
@@ -1195,13 +1200,11 @@ int main(int argc, char** argv) {
   std::uint64_t large = 0;
   if (inproc && !opt.stream) {
     svc->shutdown(/*drain=*/true);
-    const iph::serve::StatsSnapshot s = svc->stats();
-    mean_batch = s.mean_batch();
-    large = s.large_requests;
-    std::fprintf(stderr, "  service: mean batch %.2f  max batch %llu  "
-                         "large %llu\n",
-                 mean_batch, static_cast<unsigned long long>(s.max_batch),
-                 static_cast<unsigned long long>(large));
+    const iph::stats::RegistrySnapshot s = svc->stats_registry().snapshot();
+    mean_batch = iph::serve::mean_batch(s);
+    large = s.counter_or0(iph::serve::statnames::kLargeRequests);
+    std::fprintf(stderr, "  service: mean batch %.2f  large %llu\n",
+                 mean_batch, static_cast<unsigned long long>(large));
   }
 
   bool scrape_failed = false;

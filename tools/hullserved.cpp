@@ -53,7 +53,6 @@ namespace {
 using iph::serve::HullService;
 using iph::serve::Response;
 using iph::serve::ServiceConfig;
-using iph::serve::StatsSnapshot;
 using iph::session::SessionManager;
 using iph::tools::LineChannel;
 using iph::trace::Json;
@@ -61,9 +60,9 @@ using iph::trace::Json;
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--port P] [--shards N] [--workers N] [--threads N]\n"
+      "usage: %s [--port P] [--shards N] [--threads N]\n"
       "          [--capacity N] [--window-us U] [--max-batch N]\n"
-      "          [--small-threshold N] [--no-large] [--seed S] [--quiet]\n"
+      "          [--small-threshold N] [--seed S] [--quiet]\n"
       "          [--stats-every-ms M] [--backend pram|native]\n"
       "          [--max-sessions N] [--max-append-points N]\n"
       "          [--session-pending N] [--session-staleness N]\n"
@@ -275,20 +274,24 @@ void serve_stream(HullService& svc, SessionManager& mgr, int in_fd,
   }
 }
 
-void print_stats(const StatsSnapshot& s) {
-  std::fprintf(stderr,
-               "hullserved: submitted %llu  ok %llu  rejected_full %llu  "
-               "rejected_shutdown %llu  expired %llu\n"
-               "hullserved: batches %llu  mean batch %.2f  max batch %llu  "
-               "large %llu\n",
-               static_cast<unsigned long long>(s.submitted),
-               static_cast<unsigned long long>(s.completed),
-               static_cast<unsigned long long>(s.rejected_full),
-               static_cast<unsigned long long>(s.rejected_shutdown),
-               static_cast<unsigned long long>(s.expired),
-               static_cast<unsigned long long>(s.batches), s.mean_batch(),
-               static_cast<unsigned long long>(s.max_batch),
-               static_cast<unsigned long long>(s.large_requests));
+void print_stats(const iph::stats::RegistrySnapshot& s) {
+  namespace sn = iph::serve::statnames;
+  using iph::stats::labeled;
+  std::fprintf(
+      stderr,
+      "hullserved: submitted %llu  ok %llu  rejected_full %llu  "
+      "rejected_shutdown %llu  expired %llu\n"
+      "hullserved: batches %llu  mean batch %.2f  large %llu\n",
+      static_cast<unsigned long long>(s.counter_or0(sn::kSubmitted)),
+      static_cast<unsigned long long>(s.counter_or0(sn::kCompleted)),
+      static_cast<unsigned long long>(
+          s.counter_or0(labeled(sn::kRejectedBase, "reason", "full"))),
+      static_cast<unsigned long long>(
+          s.counter_or0(labeled(sn::kRejectedBase, "reason", "shutdown"))),
+      static_cast<unsigned long long>(s.counter_or0(sn::kExpired)),
+      static_cast<unsigned long long>(s.counter_or0(sn::kBatches)),
+      iph::serve::mean_batch(s),
+      static_cast<unsigned long long>(s.counter_or0(sn::kLargeRequests)));
 }
 
 /// Background snapshot-diff logger (--stats-every-ms): every period,
@@ -446,8 +449,6 @@ int main(int argc, char** argv) {
       port = std::atoi(v);
     } else if (a == "--shards" && (v = next())) {
       cfg.shards = static_cast<std::size_t>(std::atoll(v));
-    } else if (a == "--workers" && (v = next())) {
-      cfg.workers = static_cast<std::size_t>(std::atoll(v));
     } else if (a == "--threads" && (v = next())) {
       cfg.threads_per_shard = static_cast<unsigned>(std::atoi(v));
     } else if (a == "--capacity" && (v = next())) {
@@ -488,8 +489,6 @@ int main(int argc, char** argv) {
       trace_out = v;
     } else if (a == "--tracez-out" && (v = next())) {
       tracez_out = v;
-    } else if (a == "--no-large") {
-      cfg.large_shard = false;
     } else if (a == "--quiet") {
       quiet = true;
     } else {
@@ -545,6 +544,6 @@ int main(int argc, char** argv) {
                 iph::obs::tracez_json(*fr, /*limit=*/0, /*slowest=*/true));
     }
   }
-  if (!quiet) print_stats(svc.stats());
+  if (!quiet) print_stats(svc.stats_registry().snapshot());
   return rc;
 }

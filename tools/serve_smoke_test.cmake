@@ -49,7 +49,7 @@ this is not json
 {\"cmd\":\"statz\"}
 ")
 execute_process(
-  COMMAND "${HULLSERVED}" --quiet --shards 1 --workers 1 --threads 2
+  COMMAND "${HULLSERVED}" --quiet --shards 1 --threads 2
   INPUT_FILE "${WORK_DIR}/requests.ndjson"
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
@@ -90,7 +90,7 @@ endif()
 # --- Case 2: hullload closed-loop burst, in-process -------------------
 execute_process(
   COMMAND "${HULLLOAD}" --clients 2 --requests 8 --n 64
-          --shards 1 --workers 1 --threads 2
+          --shards 1 --threads 2
           --expect-all-ok --json
           --scrape --scrape-out "${WORK_DIR}/statz.json"
   RESULT_VARIABLE rc
@@ -132,7 +132,7 @@ file(WRITE "${WORK_DIR}/session.ndjson"
 {\"cmd\":\"statz\"}
 ")
 execute_process(
-  COMMAND "${HULLSERVED}" --quiet --shards 1 --workers 1 --threads 2
+  COMMAND "${HULLSERVED}" --quiet --shards 1 --threads 2
   INPUT_FILE "${WORK_DIR}/session.ndjson"
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
@@ -237,7 +237,7 @@ file(WRITE "${WORK_DIR}/trace.ndjson"
 {\"cmd\":\"tracez\",\"order\":\"slowest\"}
 ")
 execute_process(
-  COMMAND "${HULLSERVED}" --quiet --shards 1 --workers 1 --threads 2
+  COMMAND "${HULLSERVED}" --quiet --shards 1 --threads 2
           --trace-out "${WORK_DIR}/chrome_trace.json"
           --tracez-out "${WORK_DIR}/tracez.json"
   INPUT_FILE "${WORK_DIR}/trace.ndjson"
@@ -305,7 +305,7 @@ file(WRITE "${WORK_DIR}/notrace.ndjson"
 {\"cmd\":\"tracez\"}
 ")
 execute_process(
-  COMMAND "${HULLSERVED}" --quiet --shards 1 --workers 1 --threads 2
+  COMMAND "${HULLSERVED}" --quiet --shards 1 --threads 2
           --obs-capacity 0
   INPUT_FILE "${WORK_DIR}/notrace.ndjson"
   RESULT_VARIABLE rc
@@ -330,7 +330,7 @@ endif()
 set(SMOKE_PORT 19917)
 execute_process(
   COMMAND sh -c "'${HULLSERVED}' --quiet --port ${SMOKE_PORT} \
-                 --shards 1 --workers 1 --threads 2 \
+                 --shards 1 --threads 2 \
                  </dev/null >/dev/null 2>&1 \
                  & echo $! > '${WORK_DIR}/srv.pid'"
   RESULT_VARIABLE rc)
@@ -387,7 +387,7 @@ endfunction()
 foreach(i RANGE 0 2)
   execute_process(
     COMMAND sh -c "'${HULLSERVED}' --quiet --port 0 \
-                   --shards 1 --workers 1 --threads 2 \
+                   --shards 1 --threads 2 \
                    </dev/null >'${WORK_DIR}/be${i}.out' 2>/dev/null \
                    & echo $! > '${WORK_DIR}/be${i}.pid'"
     RESULT_VARIABLE rc)
