@@ -202,18 +202,16 @@ void e14(benchmark::State& state) {
           kRequests / std::chrono::duration<double>(u1 - u0).count();
       std::sort(native_e2e.begin(), native_e2e.end());
       native_p99 = percentile(native_e2e, 0.99);
-      if constexpr (iph::stats::kEnabled) {
-        namespace sn = iph::serve::statnames;
-        const iph::stats::RegistrySnapshot nsnap =
-            nsvc.stats_registry().snapshot();
-        if (nsnap.counter_or0(iph::stats::labeled(
-                sn::kBackendBase, "backend", "native")) !=
-                static_cast<std::uint64_t>(kRequests) ||
-            nsnap.counter_or0(iph::stats::labeled(
-                sn::kBackendBase, "backend", "pram")) != 0) {
-          state.SkipWithError("native run not fully native-served");
-          return;
-        }
+      namespace sn = iph::serve::statnames;
+      const iph::stats::RegistrySnapshot nsnap =
+          nsvc.stats_registry().snapshot();
+      if (nsnap.counter_or0(iph::stats::labeled(
+              sn::kBackendBase, "backend", "native")) !=
+              static_cast<std::uint64_t>(kRequests) ||
+          nsnap.counter_or0(iph::stats::labeled(
+              sn::kBackendBase, "backend", "pram")) != 0) {
+        state.SkipWithError("native run not fully native-served");
+        return;
       }
     }
 
@@ -264,21 +262,18 @@ void e14(benchmark::State& state) {
           }
         }
         const auto u1 = std::chrono::steady_clock::now();
-        if constexpr (iph::stats::kEnabled) {
-          // The armed arm must actually trace — one published request
-          // trace per completion — or the overhead claim is vacuous
-          // (a recorder that drops everything is trivially cheap).
-          namespace on = iph::obs::statnames;
-          const std::uint64_t published =
-              osvc.stats_registry().snapshot().counter_or0(
-                  iph::stats::labeled(on::kTracesPublishedBase, "kind",
-                                      "request"));
-          if (published != (obs_on ? obs_total : 0)) {
-            arm_err = obs_on
-                          ? "recorder did not publish every request"
-                          : "obs-off arm still published traces";
-            return -1;
-          }
+        // The armed arm must actually trace — one published request
+        // trace per completion — or the overhead claim is vacuous (a
+        // recorder that drops everything is trivially cheap).
+        namespace on = iph::obs::statnames;
+        const std::uint64_t published =
+            osvc.stats_registry().snapshot().counter_or0(
+                iph::stats::labeled(on::kTracesPublishedBase, "kind",
+                                    "request"));
+        if (published != (obs_on ? obs_total : 0)) {
+          arm_err = obs_on ? "recorder did not publish every request"
+                           : "obs-off arm still published traces";
+          return -1;
         }
         return static_cast<double>(obs_total) /
                std::chrono::duration<double>(u1 - u0).count();
@@ -300,10 +295,6 @@ void e14(benchmark::State& state) {
     // agree with what the client observed — every request submitted,
     // accepted and completed, nothing rejected or expired, and the
     // server-recorded PRAM step/work totals equal to the client tally.
-    // Compiled-out builds (IPH_STATS_COMPILED_OUT, the overhead-
-    // measurement knob) read all-zero by design, so the check is
-    // skipped there and no stats block is attached.
-    if constexpr (!iph::stats::kEnabled) continue;
     namespace sn = iph::serve::statnames;
     const iph::stats::RegistrySnapshot snap = svc.stats_registry().snapshot();
     const auto want = static_cast<std::uint64_t>(kRequests);

@@ -120,9 +120,7 @@ void e15(benchmark::State& state) {
     }
     ratio = append_ms / scratch_ms;
 
-    // Server-side reconciliation (skipped in compiled-out stats builds,
-    // where every instrument reads zero by design).
-    if constexpr (!iph::stats::kEnabled) continue;
+    // Server-side reconciliation.
     namespace sn = iph::session::statnames;
     const iph::stats::RegistrySnapshot snap = registry.snapshot();
     const std::uint64_t rejects =

@@ -6,8 +6,8 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/chrome_export.h"
 #include "support/env.h"
-#include "trace/chrome_trace.h"
 #include "trace/fit.h"
 #include "trace/json.h"
 #include "trace/report.h"
@@ -204,8 +204,7 @@ void attach_stats(const std::string& tag, trace::Json stats_json) {
 
 trace::Recorder& instrument(pram::Machine& m, const std::string& tag) {
   static const bool enabled =
-      !support::env_string("IPH_TRACE_DIR", "").empty() ||
-      support::env_flag("IPH_BENCH_TRACE", false);
+      !support::env_string("IPH_TRACE_DIR", "").empty();
   if (!enabled) {
     static trace::Recorder detached;
     return detached;
@@ -304,7 +303,8 @@ int run_bench_main(int argc, char** argv, const char* bench_id,
     }
   }
 
-  // Traces captured via instrument().
+  // Traces captured via instrument() (which records only with
+  // IPH_TRACE_DIR set).
   const std::string trace_dir = support::env_string("IPH_TRACE_DIR", "");
   trace::Json traces = trace::Json::array();
   for (const TaggedRecorder& tr : recorders()) {
@@ -313,19 +313,17 @@ int run_bench_main(int argc, char** argv, const char* bench_id,
     t["anonymous_steps"] = tr.rec->anonymous_steps();
     t["phases"] = trace::phase_table_json(tr.rec->root());
     traces.push_back(std::move(t));
-    if (!trace_dir.empty()) {
-      std::string tag_safe = tr.tag;
-      for (char& c : tag_safe) {
-        if (c == '/' || c == ' ') c = '_';
-      }
-      const std::string tpath = trace_dir + "/" + bench_id + "." +
-                                tag_safe + ".trace.json";
-      std::ofstream out(tpath);
-      if (out) {
-        trace::write_chrome_trace(*tr.rec, out);
-        std::fprintf(stderr, "[%s] chrome trace: %s\n", bench_id,
-                     tpath.c_str());
-      }
+    std::string tag_safe = tr.tag;
+    for (char& c : tag_safe) {
+      if (c == '/' || c == ' ') c = '_';
+    }
+    const std::string tpath =
+        trace_dir + "/" + bench_id + "." + tag_safe + ".trace.json";
+    std::ofstream out(tpath);
+    if (out) {
+      out << obs::chrome_trace_json(*tr.rec).dump(1) << '\n';
+      std::fprintf(stderr, "[%s] chrome trace: %s\n", bench_id,
+                   tpath.c_str());
     }
   }
   if (traces.size() > 0) report["traces"] = std::move(traces);

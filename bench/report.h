@@ -29,9 +29,10 @@
 //                          are deterministic given the seed).
 //   IPH_BENCH_SKIP_CLAIMS  "1" records claim results without failing.
 //   IPH_TRACE_DIR          if set, every instrument()ed machine's phase
-//                          timeline is exported there as a Chrome
-//                          trace-event file <id>.<tag>.trace.json
-//                          (load in chrome://tracing or Perfetto).
+//                          table goes into the report and its timeline
+//                          is exported there as a Chrome trace-event
+//                          file <id>.<tag>.trace.json (load in
+//                          chrome://tracing or Perfetto).
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -89,15 +90,15 @@ std::vector<std::int64_t> n_sweep(std::initializer_list<std::int64_t> full);
 /// Attach a fresh trace::Recorder to `m` (enabling phase tracing and
 /// conflict counting for this machine) and register it under `tag`.
 /// After the benchmarks finish the harness folds the recorder's phase
-/// tree into the report's "traces" section and, with IPH_TRACE_DIR set,
-/// exports its Chrome trace. One recorder is kept per tag (last wins),
+/// tree into the report's "traces" section and exports its Chrome
+/// trace into IPH_TRACE_DIR. One recorder is kept per tag (last wins),
 /// so call it with a tag naming the row, e.g. "disk/65536". Recorders
 /// outlive the machines they observe.
 ///
-/// Tracing is OPT-IN: unless IPH_TRACE_DIR or IPH_BENCH_TRACE is set,
-/// this is a no-op (returns a detached recorder, the machine runs bare)
-/// so default runs — including the committed baselines — stay free of
-/// trace sections and their wall-clock noise.
+/// Tracing is OPT-IN: unless IPH_TRACE_DIR is set, this is a no-op
+/// (returns a detached recorder, the machine runs bare) so default
+/// runs — including the committed baselines — stay free of trace
+/// sections and their wall-clock noise.
 trace::Recorder& instrument(pram::Machine& m, const std::string& tag);
 
 /// Attach a stats-registry snapshot (stats::to_json shape, schema

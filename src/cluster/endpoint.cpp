@@ -1,12 +1,38 @@
 #include "cluster/endpoint.h"
 
+#include <arpa/inet.h>
 #include <netdb.h>
+#include <netinet/in.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <thread>
 
 namespace iph::cluster {
+
+namespace {
+
+// Signal handling: flip a flag and close the listening socket so the
+// blocking accept() returns (both are async-signal-safe).
+std::atomic<bool> g_stop{false};
+int g_listen_fd = -1;
+
+void on_signal(int) {
+  g_stop.store(true);
+  if (g_listen_fd >= 0) ::close(g_listen_fd);
+}
+
+void report_errno(const char* tool, const char* what) {
+  std::fprintf(stderr, "%s: %s: %s\n", tool, what, std::strerror(errno));
+}
+
+}  // namespace
 
 bool parse_endpoint(const std::string& s, Endpoint* out) {
   const auto colon = s.rfind(':');
@@ -60,6 +86,73 @@ int dial(const Endpoint& ep) {
   }
   ::freeaddrinfo(res);
   return fd;
+}
+
+int serve_tcp(int port, const char* tool, bool quiet,
+              const ConnHandler& handle) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    report_errno(tool, "socket");
+    return 3;
+  }
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
+      ::listen(fd, 64) < 0) {
+    report_errno(tool, "bind/listen");
+    ::close(fd);
+    return 3;
+  }
+  socklen_t alen = sizeof addr;  // report the real port when P was 0
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &alen);
+  std::printf("listening %d\n", ntohs(addr.sin_port));
+  std::fflush(stdout);
+  if (!quiet) {
+    std::fprintf(stderr, "%s: listening on 127.0.0.1:%d\n", tool,
+                 ntohs(addr.sin_port));
+  }
+  g_listen_fd = fd;
+  struct sigaction sa {};
+  sa.sa_handler = on_signal;
+  ::sigaction(SIGINT, &sa, nullptr);
+  ::sigaction(SIGTERM, &sa, nullptr);
+
+  std::vector<std::thread> conns;
+  std::uint64_t next_conn = 2;
+  while (!g_stop.load()) {
+    const int conn = ::accept(fd, nullptr, nullptr);
+    if (conn < 0) {
+      if (g_stop.load()) break;
+      if (errno == EINTR) continue;
+      report_errno(tool, "accept");
+      break;
+    }
+    const std::uint64_t conn_id = next_conn++;
+    conns.emplace_back([&handle, conn, conn_id] {
+      handle(conn, conn_id);
+      ::close(conn);
+    });
+  }
+  if (!g_stop.load()) ::close(fd);
+  for (auto& t : conns) t.join();
+  return 0;
+}
+
+void write_doc(const std::string& path, const trace::Json& doc,
+               const char* tool) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "%s: cannot write %s\n", tool, path.c_str());
+    return;
+  }
+  const std::string text = doc.dump(1);
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fputc('\n', f);
+  std::fclose(f);
 }
 
 }  // namespace iph::cluster

@@ -1,11 +1,15 @@
-// Backend endpoint addressing for the cluster router: parse
-// "host:port[,host:port...]" lists and dial one endpoint with plain
-// POSIX sockets (no dependencies beyond libc — same constraint as the
-// serving tools).
+// The serving tools' TCP layer, with plain POSIX sockets (no
+// dependencies beyond libc): parse "host:port[,host:port...]" lists,
+// dial one endpoint, serve a loopback port one thread per connection
+// (hullserved, hullrouter), and write a JSON document to a file.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
+
+#include "trace/json.h"
 
 namespace iph::cluster {
 
@@ -25,5 +29,26 @@ bool parse_endpoint_list(const std::string& csv, std::vector<Endpoint>* out);
 
 /// Blocking TCP connect. Returns the connected fd, or -1 on failure.
 int dial(const Endpoint& ep);
+
+/// Serves one accepted connection on its own thread; serve_tcp closes
+/// `fd` after it returns.
+using ConnHandler = std::function<void(int fd, std::uint64_t conn_id)>;
+
+/// Listen on 127.0.0.1:`port` (0 = kernel-picked) and print the
+/// machine-readable "listening <port>" line to stdout — always, since
+/// launchers learn a picked port from it — plus, unless `quiet`, a
+/// "<tool>: listening on 127.0.0.1:<port>" note to stderr. Then run
+/// `handle` on one thread per accepted connection, with connection ids
+/// from 2 (stdin serving is connection 1), until SIGINT/SIGTERM stops
+/// accepting; joins every connection thread before returning. Returns
+/// 0, or 3 when the socket cannot be set up (reported to stderr under
+/// `tool`).
+int serve_tcp(int port, const char* tool, bool quiet,
+              const ConnHandler& handle);
+
+/// Write `doc` to `path` as indented JSON; on failure, report
+/// "<tool>: cannot write <path>" to stderr.
+void write_doc(const std::string& path, const trace::Json& doc,
+               const char* tool);
 
 }  // namespace iph::cluster

@@ -1,6 +1,7 @@
 #include "obs/chrome_export.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <utility>
@@ -12,6 +13,65 @@ namespace iph::obs {
 namespace {
 
 using trace::Json;
+
+constexpr int kPid = 1;
+/// Thread rows of a recorder export.
+constexpr int kTidWall = 1;
+constexpr int kTidPram = 2;
+
+/// Microseconds from `base` to `ns`, clamped at 0.
+double us_after(std::uint64_t ns, std::uint64_t base) {
+  return ns >= base ? static_cast<double>(ns - base) / 1e3 : 0.0;
+}
+
+/// Metadata ("M") event naming a process or thread row.
+Json meta_event(const char* name, int tid, std::string value) {
+  Json e = Json::object();
+  e["ph"] = "M";
+  e["pid"] = kPid;
+  e["tid"] = tid;
+  e["name"] = name;
+  Json args = Json::object();
+  args["name"] = std::move(value);
+  e["args"] = std::move(args);
+  return e;
+}
+
+/// Complete ("X") event: one span on thread row `tid`.
+Json complete_event(int tid, const char* name, double ts_us, double dur_us,
+                    Json args) {
+  Json e = Json::object();
+  e["ph"] = "X";
+  e["pid"] = kPid;
+  e["tid"] = tid;
+  e["name"] = name;
+  e["ts"] = ts_us;
+  e["dur"] = dur_us;
+  e["args"] = std::move(args);
+  return e;
+}
+
+/// Counter ("C") sample: one value per series of the named track.
+Json counter_event(const char* name, double ts_us,
+                   std::initializer_list<std::pair<const char*, double>>
+                       series) {
+  Json e = Json::object();
+  e["ph"] = "C";
+  e["pid"] = kPid;
+  e["name"] = name;
+  e["ts"] = ts_us;
+  Json args = Json::object();
+  for (const auto& [key, value] : series) args[key] = value;
+  e["args"] = std::move(args);
+  return e;
+}
+
+Json document(Json events) {
+  Json doc = Json::object();
+  doc["traceEvents"] = std::move(events);
+  doc["displayTimeUnit"] = "ms";
+  return doc;
+}
 
 Json span_json(const Span& s, std::uint64_t base_ns) {
   Json j = Json::object();
@@ -84,49 +144,21 @@ Json tracez_json(const FlightRecorder& rec, std::size_t limit,
 
 Json chrome_trace_json(const std::vector<CompletedTrace>& traces) {
   Json events = Json::array();
-  {
-    Json e = Json::object();
-    e["ph"] = "M";
-    e["pid"] = 1;
-    e["tid"] = 0;
-    e["name"] = "process_name";
-    Json args = Json::object();
-    args["name"] = "iph flight recorder";
-    e["args"] = std::move(args);
-    events.push_back(std::move(e));
-  }
+  events.push_back(meta_event("process_name", 0, "iph flight recorder"));
   std::uint64_t base = std::numeric_limits<std::uint64_t>::max();
   for (const CompletedTrace& t : traces) {
     const std::uint64_t r = t.root_start_ns();
     if (r != 0 && r < base) base = r;
   }
-  if (base == std::numeric_limits<std::uint64_t>::max()) base = 0;
 
   int tid = 0;
   for (const CompletedTrace& t : traces) {
     ++tid;
-    {
-      Json e = Json::object();
-      e["ph"] = "M";
-      e["pid"] = 1;
-      e["tid"] = tid;
-      e["name"] = "thread_name";
-      Json args = Json::object();
-      args["name"] = std::string(t.kind) + " " + to_hex(t.trace_id) +
-                     " #" + std::to_string(t.request_id);
-      e["args"] = std::move(args);
-      events.push_back(std::move(e));
-    }
+    events.push_back(meta_event("thread_name", tid,
+                                std::string(t.kind) + " " +
+                                    to_hex(t.trace_id) + " #" +
+                                    std::to_string(t.request_id)));
     auto emit = [&](const Span& s, bool phase) {
-      Json e = Json::object();
-      e["ph"] = "X";
-      e["pid"] = 1;
-      e["tid"] = tid;
-      e["name"] = s.name;
-      e["ts"] = s.start_ns >= base
-                    ? static_cast<double>(s.start_ns - base) / 1e3
-                    : 0.0;
-      e["dur"] = s.duration_us();
       Json args = Json::object();
       args["trace"] = to_hex(t.trace_id);
       args["span"] = static_cast<std::uint64_t>(s.span_id);
@@ -138,16 +170,60 @@ Json chrome_trace_json(const std::vector<CompletedTrace>& traces) {
         args["e2e_ms"] = t.e2e_ms;
         if (!t.repro.empty()) args["repro"] = t.repro;
       }
-      e["args"] = std::move(args);
-      events.push_back(std::move(e));
+      events.push_back(complete_event(tid, s.name, us_after(s.start_ns, base),
+                                      s.duration_us(), std::move(args)));
     };
     for (const Span& s : t.spans) emit(s, false);
     for (const Span& s : t.phase_spans) emit(s, true);
   }
+  return document(std::move(events));
+}
 
-  Json doc = Json::object();
-  doc["traceEvents"] = std::move(events);
-  doc["displayTimeUnit"] = "ms";
+Json chrome_trace_json(const trace::Recorder& rec) {
+  Json events = Json::array();
+  events.push_back(meta_event("process_name", kTidWall, "iph pram::Machine"));
+  events.push_back(meta_event("thread_name", kTidWall, "wall clock"));
+  events.push_back(
+      meta_event("thread_name", kTidPram, "PRAM virtual time (1us = 1 step)"));
+  std::uint64_t base = std::numeric_limits<std::uint64_t>::max();
+  for (const trace::PhaseSpan& s : rec.spans()) {
+    base = std::min(base, s.start_ns);
+  }
+  for (const trace::PhaseSpan& s : rec.spans()) {
+    const std::uint64_t steps = s.close_step - s.open_step;
+    Json args = Json::object();
+    args["pram_step_open"] = s.open_step;
+    args["pram_step_close"] = s.close_step;
+    args["pram_steps"] = steps;
+    events.push_back(complete_event(
+        kTidWall, s.name, us_after(s.start_ns, base),
+        static_cast<double>(s.end_ns - s.start_ns) / 1e3, args));
+    events.push_back(complete_event(kTidPram, s.name,
+                                    static_cast<double>(s.open_step),
+                                    static_cast<double>(steps),
+                                    std::move(args)));
+  }
+
+  // Utilization + space counter tracks against PRAM virtual time, one
+  // sample per timeline bucket (see Recorder::timeline). The viewer
+  // renders these as stacked counter tracks above the span rows.
+  for (const trace::UtilSample& b : rec.timeline()) {
+    const double ts = static_cast<double>(b.step_begin);
+    const double mean =
+        b.steps > 0
+            ? static_cast<double>(b.active_sum) / static_cast<double>(b.steps)
+            : 0.0;
+    events.push_back(counter_event(
+        "active processors", ts,
+        {{"max", static_cast<double>(b.active_max)}, {"mean", mean}}));
+    events.push_back(counter_event(
+        "workspace cells", ts,
+        {{"aux", static_cast<double>(b.aux_max)},
+         {"live", static_cast<double>(b.live_max)}}));
+  }
+
+  Json doc = document(std::move(events));
+  if (rec.dropped_spans() > 0) doc["dropped_spans"] = rec.dropped_spans();
   return doc;
 }
 

@@ -9,6 +9,8 @@
 #include <unordered_set>
 #include <utility>
 
+#include "trace/recorder.h"
+
 namespace iph::obs {
 
 const char* intern_name(std::string_view name) {
@@ -24,6 +26,29 @@ const char* intern_name(std::string_view name) {
   storage->emplace_back(name);
   names->insert(std::string_view(storage->back()));
   return storage->back().c_str();
+}
+
+// The recorder keeps at least as many spans per run as a trace can
+// hold, so a run it truncated is also longer than kMaxPhaseSpans.
+static_assert(trace::Recorder::kMaxSpans >= kMaxPhaseSpans);
+
+std::vector<Span> exec_phase_spans(const std::vector<trace::PhaseSpan>& run,
+                                   bool* truncated) {
+  const std::size_t kept = std::min(run.size(), kMaxPhaseSpans);
+  if (run.size() > kMaxPhaseSpans) *truncated = true;
+  const auto span_id = [](std::uint32_t phase_id) {
+    return kFirstPhaseSpanId - 1 + phase_id;
+  };
+  // A run's ids are 1..run.size(), so span id k goes to slot k - 1:
+  // the output is in open order, parents before children.
+  std::vector<Span> out(kept);
+  for (const trace::PhaseSpan& p : run) {
+    if (p.id == 0 || p.id > kept) continue;
+    out[p.id - 1] = Span{intern_name(p.name), span_id(p.id),
+                         p.parent == 0 ? kExecSpanId : span_id(p.parent),
+                         p.start_ns, p.end_ns};
+  }
+  return out;
 }
 
 namespace {

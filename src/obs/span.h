@@ -33,11 +33,15 @@
 #include <string_view>
 #include <vector>
 
+namespace iph::trace {
+struct PhaseSpan;
+}  // namespace iph::trace
+
 namespace iph::obs {
 
 /// One closed span. Timestamps are absolute steady-clock nanoseconds
 /// (steady_clock::time_since_epoch), so request spans and PRAM phase
-/// events (trace::Recorder epoch + offset) land on one comparable
+/// spans (trace::PhaseSpan, same clock) land on one comparable
 /// timeline without clock translation at record time.
 struct Span {
   const char* name = "";        ///< Static string (no allocation).
@@ -99,11 +103,20 @@ struct CompletedTrace {
 inline constexpr std::size_t kMaxPhaseSpans = 128;
 
 /// Intern a dynamic span name (e.g. a PRAM phase name out of a
-/// trace::Recorder event log, whose std::string storage does not
+/// trace::Recorder phase tree, whose std::string storage does not
 /// outlive the recorder) into process-lifetime storage, returning a
 /// stable const char*. The name set is small and bounded (algorithm
 /// phase names), so the intern table never grows past a handful of
 /// entries; safe from any thread. Defined in flight_recorder.cpp.
 const char* intern_name(std::string_view name);
+
+/// One PRAM run's phase spans (trace::Recorder::take_spans) as children
+/// of the request's exec span: span ids follow the phases' open order
+/// from kFirstPhaseSpanId, top-level phases hang off kExecSpanId, and
+/// names are interned. Only the first kMaxPhaseSpans phases to open are
+/// kept, so every kept span's parent is kept too; *truncated is set
+/// when the run had more. Defined in flight_recorder.cpp.
+std::vector<Span> exec_phase_spans(const std::vector<trace::PhaseSpan>& run,
+                                   bool* truncated);
 
 }  // namespace iph::obs

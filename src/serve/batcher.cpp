@@ -15,8 +15,8 @@ std::vector<Response> execute_batch(const BackendSet& backends,
     info->completed_at.reserve(requests.size());
     info->started_at.clear();
     info->started_at.reserve(requests.size());
-    info->pram_events.clear();
-    info->pram_events.reserve(requests.size());
+    info->phase_spans.clear();
+    info->phase_spans.reserve(requests.size());
     info->pram_total = pram::Metrics{};
     info->pram_requests = 0;
     info->native_requests = 0;
@@ -26,13 +26,13 @@ std::vector<Response> execute_batch(const BackendSet& backends,
     const std::uint64_t seed = derive_request_seed(master_seed, r.id);
     exec::Backend* backend = backends.resolve(r.backend);
     const bool on_pram = backend->kind() != exec::BackendKind::kNative;
-    const std::size_t ev_begin =
-        backends.recorder != nullptr && on_pram
-            ? backends.recorder->events().size()
-            : 0;
     const auto t0 = Clock::now();
     exec::HullRun run = backend->upper_hull(r.points, seed, r.alpha);
     const auto t1 = Clock::now();
+    std::vector<trace::PhaseSpan> phases;
+    if (on_pram && backends.recorder != nullptr) {
+      phases = backends.recorder->take_spans();
+    }
     Response resp;
     resp.id = r.id;
     resp.status = Status::kOk;
@@ -47,11 +47,7 @@ std::vector<Response> execute_batch(const BackendSet& backends,
     if (info != nullptr) {
       info->completed_at.push_back(t1);
       info->started_at.push_back(t0);
-      const std::size_t ev_end =
-          backends.recorder != nullptr && on_pram
-              ? backends.recorder->events().size()
-              : 0;
-      info->pram_events.emplace_back(ev_begin, ev_end);
+      info->phase_spans.push_back(std::move(phases));
       info->pram_total.add_counters(run.metrics);
       if (backend->kind() == exec::BackendKind::kNative) {
         ++info->native_requests;

@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cstddef>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "exec/backend.h"
@@ -62,12 +61,12 @@ struct BackendSet {
   exec::Backend* pram = nullptr;    ///< Required.
   exec::Backend* native = nullptr;  ///< Optional fast path.
   exec::BackendKind service_default = exec::BackendKind::kPram;
-  /// When set, execute_batch records which [begin, end) range of this
-  /// recorder's event log each PRAM-resolved request produced
-  /// (BatchExecInfo::pram_events) — the span <-> phase-tree linkage the
-  /// flight recorder turns into child spans. Must be the recorder
-  /// observing the machine behind `pram`.
-  const trace::Recorder* recorder = nullptr;
+  /// When set, execute_batch takes each PRAM-resolved request's phase
+  /// spans out of this recorder right after its run
+  /// (BatchExecInfo::phase_spans), so the recorder holds no span past
+  /// the request that made it. Must be the recorder observing the
+  /// machine behind `pram`.
+  trace::Recorder* recorder = nullptr;
 
   /// Resolve a request's requested kind to the engine that will run it.
   exec::Backend* resolve(exec::BackendKind want) const noexcept {
@@ -92,10 +91,10 @@ struct BatchExecInfo {
   /// exec span; the gap back to started_at[0] is its wait for earlier
   /// batch-mates in the same run.
   std::vector<Clock::time_point> started_at;
-  /// Per-request [begin, end) index range into BackendSet::recorder's
-  /// event log (all zeros when no recorder was supplied, and empty
-  /// ranges for native-resolved requests, which bypass the simulator).
-  std::vector<std::pair<std::size_t, std::size_t>> pram_events;
+  /// Request i's PRAM phase spans, taken from BackendSet::recorder
+  /// after its run (empty without a recorder, and for native-resolved
+  /// requests, which bypass the simulator).
+  std::vector<std::vector<trace::PhaseSpan>> phase_spans;
   /// Per-request pram::Metrics counters summed over the batch
   /// (Metrics::add_counters) — the machine itself is reset per request,
   /// so its own metrics afterwards are only the last request's. Native

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "exec/pram_backend.h"
-#include "obs/phase_link.h"
 #include "support/check.h"
 #include "support/env.h"
 
@@ -173,10 +172,7 @@ void HullService::worker(std::size_t shard) {
   backends.pram = &pram_backend;
   backends.native = &native_;
   backends.service_default = cfg_.backend;
-  // Phase linkage needs somewhere to publish the spans to.
-  backends.recorder = flight_ != nullptr && cfg_.trace
-                          ? recorders_[shard].get()
-                          : nullptr;
+  backends.recorder = cfg_.trace ? recorders_[shard].get() : nullptr;
 
   for (;;) {
     BatchClose close = BatchClose::kWindow;
@@ -247,7 +243,7 @@ void HullService::finish_batch(std::vector<Pending> batch,
   IPH_CHECK(responses.size() == live.size());
   IPH_CHECK(info.completed_at.size() == live.size());
   IPH_CHECK(info.started_at.size() == live.size());
-  IPH_CHECK(info.pram_events.size() == live.size());
+  IPH_CHECK(info.phase_spans.size() == live.size());
 
   // Stats strictly before the promise fan-out: a caller that has seen
   // its Response observes counters that already include it.
@@ -274,13 +270,9 @@ void HullService::finish_batch(std::vector<Pending> batch,
     sstats_.queue_wait_ms.record(responses[i].metrics.queue_wait_ms);
     sstats_.exec_ms.record(responses[i].metrics.exec_ms);
     sstats_.e2e_ms.record(responses[i].metrics.e2e_ms);
-    bool truncated = false;
-    std::vector<obs::Span> phases = obs::phase_spans_from_events(
-        backends.recorder, info.pram_events[i], obs::kExecSpanId,
-        &truncated);
     publish_request_trace(reqs[i], responses[i], tag, live[i].enqueued_at,
                           popped, info.started_at[i], info.completed_at[i],
-                          live.size(), std::move(phases), truncated);
+                          live.size(), info.phase_spans[i]);
     live[i].promise.set_value(std::move(responses[i]));
   }
 }
@@ -289,8 +281,8 @@ void HullService::publish_request_trace(
     const Request& req, const Response& resp, const char* tag,
     Clock::time_point enqueued, Clock::time_point popped,
     Clock::time_point started, Clock::time_point completed,
-    std::uint64_t batch_size, std::vector<obs::Span> phase_spans,
-    bool phase_truncated) {
+    std::uint64_t batch_size,
+    const std::vector<trace::PhaseSpan>& phase_spans) {
   if (flight_ == nullptr) return;
   obs::CompletedTrace t;
   t.trace_id = req.trace.trace_id;
@@ -313,8 +305,8 @@ void HullService::publish_request_trace(
                      steady_ns(popped), steady_ns(popped)});
   t.spans.push_back({"exec", obs::kExecSpanId, obs::kRootSpanId,
                      steady_ns(started), steady_ns(completed)});
-  t.phase_spans = std::move(phase_spans);
-  t.phase_spans_truncated = phase_truncated;
+  t.phase_spans =
+      obs::exec_phase_spans(phase_spans, &t.phase_spans_truncated);
   // Tail exemplar about to be pinned: give it a standalone repro file
   // (native runs only — PRAM tails are explained by their linked phase
   // tree instead). Advisory check; the pin itself happens in publish.

@@ -27,7 +27,9 @@
 // Tracing: with ServiceConfig::trace set, every shard gets a
 // trace::Recorder for the service's lifetime ("serve/request" phases,
 // step timeline, space gauges — the same recorder the bench harness
-// uses). Only the shard's own worker drives it, so the recorder's
+// uses). Each PRAM run's phase spans are taken out of it right after
+// the run and, with a flight recorder, published under the request's
+// exec span. Only the shard's own worker drives it, so the recorder's
 // no-locking contract holds; read them after shutdown().
 #pragma once
 
@@ -130,16 +132,14 @@ class HullService {
                     const char* tag);
   static std::future<Response> ready_response(Response r);
   /// Assemble + publish one completed request's span tree (no-op
-  /// without a flight recorder). `phase_spans` come from the shard's
-  /// recorder (obs/phase_link.h).
-  void publish_request_trace(const Request& req, const Response& resp,
-                             const char* tag, Clock::time_point enqueued,
-                             Clock::time_point popped,
-                             Clock::time_point started,
-                             Clock::time_point completed,
-                             std::uint64_t batch_size,
-                             std::vector<obs::Span> phase_spans,
-                             bool phase_truncated);
+  /// without a flight recorder). `phase_spans` are the request's run's
+  /// spans, taken from the shard's recorder (BatchExecInfo).
+  void publish_request_trace(
+      const Request& req, const Response& resp, const char* tag,
+      Clock::time_point enqueued, Clock::time_point popped,
+      Clock::time_point started, Clock::time_point completed,
+      std::uint64_t batch_size,
+      const std::vector<trace::PhaseSpan>& phase_spans);
 
   ServiceConfig cfg_;
   // Registry before queues and workers: both hold bound instrument

@@ -29,12 +29,6 @@
 // current level. Two exporters live in stats/export.h: Prometheus text
 // exposition and the repo's trace::Json shape (ingested by
 // tools/benchreport and served by hullserved's `statz` command).
-//
-// Compile-out knob: configure with -DIPH_STATS_COMPILED_OUT=ON (defines
-// IPH_STATS_DISABLED) and every record call becomes an empty inline —
-// the knob exists to measure recording overhead (EXPERIMENTS.md E14),
-// not for production builds; registries, names and snapshots keep
-// working and read all-zero.
 #pragma once
 
 #include <atomic>
@@ -48,17 +42,10 @@
 
 namespace iph::stats {
 
-#if defined(IPH_STATS_DISABLED)
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
-
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {
-    if constexpr (kEnabled) v_.fetch_add(n, std::memory_order_relaxed);
-    (void)n;
+    v_.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);
@@ -71,12 +58,10 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) noexcept {
-    if constexpr (kEnabled) v_.store(v, std::memory_order_relaxed);
-    (void)v;
+    v_.store(v, std::memory_order_relaxed);
   }
   void add(std::int64_t d) noexcept {
-    if constexpr (kEnabled) v_.fetch_add(d, std::memory_order_relaxed);
-    (void)d;
+    v_.fetch_add(d, std::memory_order_relaxed);
   }
   std::int64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);

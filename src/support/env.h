@@ -21,8 +21,9 @@
 //
 // The bench/report harness reads further knobs (IPH_BENCH_OUT_DIR,
 // IPH_BENCH_MAX_N, IPH_BENCH_BASELINE_DIR, IPH_BENCH_TOL,
-// IPH_BENCH_SKIP_CLAIMS, IPH_TRACE_DIR) via env_string/env_u64 below;
-// they are documented in bench/report.h and README.md.
+// IPH_BENCH_SKIP_CLAIMS, and IPH_TRACE_DIR, the one switch for its
+// phase tracing) via env_string/env_u64 below; they are documented in
+// bench/report.h and README.md.
 #pragma once
 
 #include <cstdint>

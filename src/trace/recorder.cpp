@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
+
+#include "support/check.h"
 
 namespace iph::trace {
 
@@ -31,29 +34,18 @@ const PhaseStats* PhaseStats::child(std::string_view child_name) const noexcept 
   return nullptr;
 }
 
-Recorder::Recorder() : epoch_ns_(steady_now_ns()) {
-  open_.push_back(Frame{&root_, 0});
+Recorder::Recorder() {
+  open_.push_back(Frame{&root_, 0, 0, 0});
   root_.invocations = 1;
 }
 
 Recorder::~Recorder() = default;
 
-double Recorder::now_ns() const {
-  return static_cast<double>(steady_now_ns() - epoch_ns_);
-}
-
-void Recorder::push_event(TraceEvent::Kind kind, const std::string& name,
-                          std::uint64_t step) {
-  if (events_.size() >= kMaxEvents) {
-    ++dropped_events_;
-    return;
-  }
-  TraceEvent e;
-  e.kind = kind;
-  e.name = name;
-  e.step = step;
-  e.wall_us = now_ns() / 1e3;
-  events_.push_back(std::move(e));
+std::vector<PhaseSpan> Recorder::take_spans() {
+  IPH_CHECK(quiescent());
+  last_id_ = 0;
+  dropped_spans_ = 0;
+  return std::exchange(spans_, {});
 }
 
 void Recorder::on_phase_open(const std::string& name,
@@ -78,17 +70,26 @@ void Recorder::on_phase_open(const std::string& name,
     node->peak_live = cur_input_ + cur_aux_;
   }
   if (cur_aux_ > node->peak_aux) node->peak_aux = cur_aux_;
-  open_.push_back(Frame{node, now_ns()});
+  open_.push_back(Frame{node, ++last_id_, steady_now_ns(), step_index});
   if (open_.size() - 1 > max_depth_) max_depth_ = open_.size() - 1;
-  push_event(TraceEvent::Kind::kOpen, name, step_index);
 }
 
 void Recorder::on_phase_close(std::uint64_t step_index) {
   if (open_.size() <= 1) return;  // unmatched close: ignore, keep the root
-  Frame f = open_.back();
+  const Frame f = open_.back();
   open_.pop_back();
-  f.node->wall_ns += now_ns() - f.wall_open_ns;
-  push_event(TraceEvent::Kind::kClose, std::string(), step_index);
+  const std::uint64_t end_ns = steady_now_ns();
+  f.node->wall_ns += static_cast<double>(end_ns - f.start_ns);
+  // Ids grow along the open order and a parent opens before its child,
+  // so capping by id keeps the stored spans a whole tree prefix.
+  if (f.id > kMaxSpans) {
+    ++dropped_spans_;
+    return;
+  }
+  spans_.push_back(PhaseSpan{f.node->name.c_str(),
+                             static_cast<std::uint32_t>(f.id),
+                             static_cast<std::uint32_t>(open_.back().id),
+                             f.start_ns, end_ns, f.open_step, step_index});
 }
 
 // A node can never appear twice in open_ (a node's identity is its

@@ -9,14 +9,18 @@
 //     across re-entries, carrying PRAM steps, work, peak active
 //     processors, combining-write conflicts, direct (own, non-child)
 //     steps, invocation counts, and accumulated wall-clock; and
-//   * a BOUNDED EVENT LOG — the first kMaxEvents raw open/close events
-//     with wall and PRAM-step stamps, from which chrome_trace.h renders
-//     a timeline (events past the cap are counted, not stored).
+//   * a SPAN LIST — one PhaseSpan per closed phase invocation, with
+//     wall and PRAM-step stamps at open and close. obs/chrome_export.h
+//     renders it as a timeline; the serving layer takes each request's
+//     spans out after its run (take_spans) and links them under the
+//     request's exec span. Phases past the first kMaxSpans to open are
+//     counted, not stored.
 //
 // All callbacks run on the host thread between steps, so the recorder
-// needs no locking, and everything it records except the wall_ns /
-// wall_us fields is a pure function of (input, seed) — bit-identical
-// across hardware thread counts (trace_test locks this in).
+// needs no locking, and everything it records except wall-clock
+// (wall_ns, span start/end) is a pure function of (input, seed) —
+// bit-identical across hardware thread counts (trace_test locks this
+// in).
 //
 // The implicit root node aggregates the whole run; steps issued while no
 // phase is open land in root.direct_steps — `anonymous_steps()` — which
@@ -66,19 +70,26 @@ struct UtilSample {
   std::uint64_t aux_max = 0;     ///< Peak auxiliary ledger cells.
 };
 
-/// One raw phase event, for timeline export.
-struct TraceEvent {
-  enum class Kind : std::uint8_t { kOpen, kClose };
-  Kind kind = Kind::kOpen;
-  std::string name;        ///< Set for kOpen only.
-  std::uint64_t step = 0;  ///< Machine step index at the event.
-  double wall_us = 0;      ///< Microseconds since the recorder's epoch.
+/// One closed phase invocation, appended when the phase closes (so a
+/// recorder's list is in close order; ids give the open order). `name`
+/// points into the recorder's phase tree and lives as long as it does.
+struct PhaseSpan {
+  const char* name = "";
+  std::uint32_t id = 0;        ///< Open order since the last take, from 1.
+  std::uint32_t parent = 0;    ///< Enclosing phase's id; 0 = none.
+  std::uint64_t start_ns = 0;  ///< steady_clock time_since_epoch at open.
+  std::uint64_t end_ns = 0;    ///< ... and at close.
+  std::uint64_t open_step = 0;   ///< Machine step index at open.
+  std::uint64_t close_step = 0;  ///< ... and at close.
 };
 
 class Recorder final : public pram::PhaseObserver {
  public:
-  /// Event-log cap; the aggregated tree is never truncated.
-  static constexpr std::size_t kMaxEvents = 1u << 16;
+  /// Span-list cap: only the first kMaxSpans phases to open since the
+  /// last take_spans() are stored, so the list is always a whole tree
+  /// prefix (every stored span's parent is stored). The aggregated tree
+  /// is never truncated.
+  static constexpr std::size_t kMaxSpans = 1u << 15;
   /// Utilization-timeline bucket cap: when full, adjacent buckets are
   /// pair-merged and the stride doubles, so memory stays bounded while
   /// the whole run remains covered (downsampling, not truncation).
@@ -112,14 +123,15 @@ class Recorder final : public pram::PhaseObserver {
   /// Deepest phase nesting seen.
   std::size_t max_depth() const noexcept { return max_depth_; }
 
-  const std::vector<TraceEvent>& events() const noexcept { return events_; }
-  /// Events beyond kMaxEvents that were counted but not stored.
-  std::uint64_t dropped_events() const noexcept { return dropped_events_; }
-  /// steady_clock::time_since_epoch at construction, in ns. Lets
-  /// consumers (iph::obs phase-span linkage) convert an event's
-  /// wall_us offset back to the absolute steady-clock timeline:
-  /// absolute_ns = epoch_ns() + wall_us * 1000.
-  std::uint64_t epoch_ns() const noexcept { return epoch_ns_; }
+  /// Spans closed since the last take_spans(), in close order.
+  const std::vector<PhaseSpan>& spans() const noexcept { return spans_; }
+  /// Phases past kMaxSpans since the last take_spans(): counted, not
+  /// stored.
+  std::uint64_t dropped_spans() const noexcept { return dropped_spans_; }
+  /// Hand the span list to the caller and start a fresh one: ids restart
+  /// at 1 and the drop count at 0. Call between runs (quiescent()), so
+  /// no open phase carries an id from the old numbering.
+  std::vector<PhaseSpan> take_spans();
   /// True iff every open has been matched by a close (i.e. between runs).
   bool quiescent() const noexcept { return open_.size() == 1; }
 
@@ -144,12 +156,11 @@ class Recorder final : public pram::PhaseObserver {
  private:
   struct Frame {
     PhaseStats* node;
-    double wall_open_ns;
+    std::uint64_t id;  ///< Span id; 0 for the root.
+    std::uint64_t start_ns;
+    std::uint64_t open_step;
   };
 
-  void push_event(TraceEvent::Kind kind, const std::string& name,
-                  std::uint64_t step);
-  double now_ns() const;
   /// Record `count` uniform steps of `active` processors into the
   /// timeline + histogram (count > 1 only from on_charge).
   void bump_timeline(std::uint64_t count, std::uint64_t active);
@@ -159,10 +170,10 @@ class Recorder final : public pram::PhaseObserver {
 
   PhaseStats root_;
   std::vector<Frame> open_;  ///< Innermost last; [0] is the root.
-  std::vector<TraceEvent> events_;
-  std::uint64_t dropped_events_ = 0;
+  std::vector<PhaseSpan> spans_;
+  std::uint64_t last_id_ = 0;  ///< Span ids handed out since the last take.
+  std::uint64_t dropped_spans_ = 0;
   std::size_t max_depth_ = 0;
-  std::uint64_t epoch_ns_ = 0;  ///< steady_clock at construction.
 
   std::vector<UtilSample> timeline_;
   std::uint64_t stride_ = 1;     ///< PRAM steps per timeline bucket.

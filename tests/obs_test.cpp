@@ -1,6 +1,6 @@
 // iph::obs unit + concurrency tests: trace-context hex codec, name
 // interning, flight-recorder retention/eviction/exemplars, the exact
-// counter identities the scrape reconciliation relies on, phase-event
+// counter identities the scrape reconciliation relies on, phase-span
 // linkage, and the hot-path contract (publish never blocks and never
 // allocates once the payload is built) — the latter armed both by a
 // global operator new counter here and by TSan in the race-check build.
@@ -20,7 +20,6 @@
 #include "obs/chrome_export.h"
 #include "obs/context.h"
 #include "obs/flight_recorder.h"
-#include "obs/phase_link.h"
 #include "obs/span.h"
 #include "stats/stats.h"
 #include "trace/recorder.h"
@@ -251,8 +250,8 @@ TEST(PhaseLink, BuildsNestedTreeUnderParent) {
   rec.on_phase_close(4);
   rec.on_phase_close(5);
   bool truncated = false;
-  const std::vector<Span> spans = iph::obs::phase_spans_from_events(
-      &rec, {0, rec.events().size()}, iph::obs::kExecSpanId, &truncated);
+  const std::vector<Span> spans =
+      iph::obs::exec_phase_spans(rec.take_spans(), &truncated);
   ASSERT_EQ(spans.size(), 3u);
   EXPECT_FALSE(truncated);
   EXPECT_STREQ(spans[0].name, "a");
@@ -265,19 +264,16 @@ TEST(PhaseLink, BuildsNestedTreeUnderParent) {
   for (const Span& s : spans) EXPECT_GE(s.end_ns, s.start_ns);
 }
 
-TEST(PhaseLink, EmptyRangeAndNullRecorderAreEmpty) {
+TEST(PhaseLink, EmptyRunsAreEmpty) {
   bool truncated = false;
-  EXPECT_TRUE(iph::obs::phase_spans_from_events(nullptr, {0, 10},
-                                                iph::obs::kExecSpanId,
-                                                &truncated)
-                  .empty());
+  EXPECT_TRUE(iph::obs::exec_phase_spans({}, &truncated).empty());
+  // A take leaves nothing behind for the next run.
   iph::trace::Recorder rec;
   rec.on_phase_open("a", 0);
   rec.on_phase_close(1);
-  EXPECT_TRUE(iph::obs::phase_spans_from_events(&rec, {2, 2},
-                                                iph::obs::kExecSpanId,
-                                                &truncated)
-                  .empty());
+  EXPECT_EQ(rec.take_spans().size(), 1u);
+  EXPECT_TRUE(
+      iph::obs::exec_phase_spans(rec.take_spans(), &truncated).empty());
   EXPECT_FALSE(truncated);
 }
 
@@ -288,10 +284,13 @@ TEST(PhaseLink, CapsSpansAndFlagsTruncation) {
     rec.on_phase_close(2 * i + 1);
   }
   bool truncated = false;
-  const std::vector<Span> spans = iph::obs::phase_spans_from_events(
-      &rec, {0, rec.events().size()}, iph::obs::kExecSpanId, &truncated);
+  const std::vector<Span> spans =
+      iph::obs::exec_phase_spans(rec.take_spans(), &truncated);
   EXPECT_EQ(spans.size(), iph::obs::kMaxPhaseSpans);
   EXPECT_TRUE(truncated);
+  // The first phases to open are the ones kept.
+  EXPECT_EQ(spans.back().span_id,
+            iph::obs::kFirstPhaseSpanId + iph::obs::kMaxPhaseSpans - 1);
 }
 
 // ------------------------- hot-path contract -------------------------

@@ -770,10 +770,10 @@ TEST(ExecuteBatch, BackendSetDispatchesAndFallsBack) {
 // --- request-scoped tracing (iph::obs) --------------------------------
 
 // Extends the PR 5 batch-metrics fix down to spans: execute_batch now
-// also reports each request's own START stamp and its slice of the
-// shard recorder's phase-event log, so batch-mates get disjoint,
-// per-request exec spans instead of sharing the batch's.
-TEST(ExecuteBatch, ReportsPerRequestStartStampsAndEventRanges) {
+// also reports each request's own START stamp and takes its phase
+// spans out of the shard recorder right after its run, so batch-mates
+// get disjoint, per-request exec spans instead of sharing the batch's.
+TEST(ExecuteBatch, ReportsPerRequestStartStampsAndPhaseSpans) {
   pram::Machine m(2, 99);
   trace::Recorder rec;
   rec.attach(m);
@@ -790,7 +790,13 @@ TEST(ExecuteBatch, ReportsPerRequestStartStampsAndEventRanges) {
   ASSERT_EQ(rs.size(), reqs.size());
   ASSERT_EQ(info.started_at.size(), reqs.size());
   ASSERT_EQ(info.completed_at.size(), reqs.size());
-  ASSERT_EQ(info.pram_events.size(), reqs.size());
+  ASSERT_EQ(info.phase_spans.size(), reqs.size());
+  const auto ns = [](Clock::time_point t) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            t.time_since_epoch())
+            .count());
+  };
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     // Each request's exec interval is well-formed and disjoint from its
     // predecessor's (back-to-back in the arena, never shared stamps).
@@ -800,21 +806,24 @@ TEST(ExecuteBatch, ReportsPerRequestStartStampsAndEventRanges) {
       EXPECT_GE(info.started_at[i].time_since_epoch().count(),
                 info.completed_at[i - 1].time_since_epoch().count());
     }
-    // PRAM-resolved requests own consecutive, non-empty event slices.
-    EXPECT_LT(info.pram_events[i].first, info.pram_events[i].second);
-    if (i > 0) {
-      EXPECT_EQ(info.pram_events[i].first, info.pram_events[i - 1].second);
+    // PRAM-resolved requests own consecutive, non-empty span lists:
+    // every span of request i lies inside its own exec interval.
+    EXPECT_FALSE(info.phase_spans[i].empty());
+    for (const trace::PhaseSpan& p : info.phase_spans[i]) {
+      EXPECT_GE(p.start_ns, ns(info.started_at[i])) << p.name;
+      EXPECT_LE(p.end_ns, ns(info.completed_at[i])) << p.name;
     }
   }
-  EXPECT_EQ(info.pram_events.back().second, rec.events().size());
+  // Every span was taken: the recorder holds none past its request.
+  EXPECT_TRUE(rec.spans().empty());
 
-  // Native-resolved requests bypass the simulator: their slice is empty.
+  // Native-resolved requests bypass the simulator: they have no spans.
   exec::NativeBackend native_backend(2);
   backends.native = &native_backend;
   for (auto& r : reqs) r.backend = exec::BackendKind::kNative;
   execute_batch(backends, reqs, 7, &info);
-  for (const auto& range : info.pram_events) {
-    EXPECT_EQ(range.first, range.second);
+  for (const auto& spans : info.phase_spans) {
+    EXPECT_TRUE(spans.empty());
   }
 }
 
@@ -955,6 +964,45 @@ TEST(HullService, PramTracesLinkPhaseSpansUnderExec) {
   EXPECT_GT(s.counter_or0(
                 stats::labeled(on::kSpansRecordedBase, "kind", "phase")),
             0u);
+}
+
+// A traced PRAM service links phase spans into every request's trace,
+// however long it runs: each run's spans leave the shard recorder with
+// the request, so no recorder-wide cap is ever reached (a recorder that
+// kept every phase of the service's life stopped linking after about
+// 1,100 requests at n = 64).
+TEST(HullService, PramPhaseSpansSurviveALongRun) {
+  ServiceConfig cfg = small_config();
+  cfg.trace = true;
+  cfg.shards = 1;
+  HullService svc(cfg);
+  constexpr int kRequests = 1500;
+  constexpr int kWave = 100;  // stays under the queue capacity
+  for (int done = 0; done < kRequests; done += kWave) {
+    std::vector<std::future<Response>> futs;
+    for (int i = 0; i < kWave; ++i) {
+      futs.push_back(svc.submit(make_request(0, 64, 5)));
+    }
+    for (auto& f : futs) ASSERT_EQ(f.get().status, Status::kOk);
+  }
+  svc.shutdown();
+  const std::vector<obs::CompletedTrace> traces =
+      svc.flight_recorder()->snapshot();
+  ASSERT_EQ(traces.size(), cfg.obs.capacity);
+  for (const obs::CompletedTrace& t : traces) {
+    ASSERT_FALSE(t.phase_spans.empty())
+        << "request " << t.request_id << " lost its phase spans";
+    EXPECT_FALSE(t.phase_spans_truncated) << t.request_id;
+    EXPECT_EQ(t.phase_spans[0].parent_id, obs::kExecSpanId);
+    // Every phase hangs off exec or off a phase of the same trace.
+    for (const obs::Span& s : t.phase_spans) {
+      EXPECT_TRUE(s.parent_id == obs::kExecSpanId ||
+                  (s.parent_id >= obs::kFirstPhaseSpanId &&
+                   s.parent_id < s.span_id))
+          << s.name;
+    }
+  }
+  EXPECT_TRUE(svc.recorder(0)->spans().empty());
 }
 
 // Disabling obs removes the recorder and its counters entirely — the

@@ -6,7 +6,7 @@
 //     bit-identical across hardware thread counts,
 //   * combining-write conflict counts (writers - 1 per cell per step),
 //   * attaching an observer never perturbs the PRAM metrics,
-//   * chrome-trace export well-formedness,
+//   * the recorder's span list (cap, take) and its chrome-trace export,
 //   * baseline row comparison (trace/report.h),
 //   * phase coverage: no core algorithm issues anonymous steps.
 #include <gtest/gtest.h>
@@ -23,9 +23,9 @@
 #include "core/unsorted2d.h"
 #include "core/unsorted3d.h"
 #include "geom/workloads.h"
+#include "obs/chrome_export.h"
 #include "pram/cells.h"
 #include "pram/machine.h"
-#include "trace/chrome_trace.h"
 #include "trace/fit.h"
 #include "trace/json.h"
 #include "trace/recorder.h"
@@ -346,7 +346,43 @@ TEST(PhaseCoverage, CoreAlgorithmsNameEveryStep) {
   }
 }
 
-// --- chrome trace export ------------------------------------------------
+// --- phase spans + chrome trace export ----------------------------------
+
+// The span list keeps the first kMaxSpans phases to OPEN, so a parent
+// that closes after the cap is still stored; the phase tree is never
+// truncated, and a take restarts ids and the drop count.
+TEST(Recorder, SpanListCapsByOpenOrderAndTakeRestarts) {
+  Recorder rec;
+  rec.on_phase_open("outer", 0);
+  for (std::uint64_t i = 0; i < Recorder::kMaxSpans; ++i) {
+    rec.on_phase_open("inner", i);
+    rec.on_phase_close(i + 1);
+  }
+  rec.on_phase_close(Recorder::kMaxSpans);
+  ASSERT_EQ(rec.spans().size(), Recorder::kMaxSpans);
+  EXPECT_EQ(rec.dropped_spans(), 1u);
+  EXPECT_STREQ(rec.spans().back().name, "outer");
+  EXPECT_EQ(rec.spans().back().id, 1u);
+  EXPECT_EQ(rec.spans().back().parent, 0u);
+  EXPECT_EQ(rec.spans().back().close_step, Recorder::kMaxSpans);
+  EXPECT_EQ(rec.spans().front().parent, 1u);
+  EXPECT_EQ(rec.root().child("outer")->child("inner")->invocations,
+            Recorder::kMaxSpans);
+  // The Chrome export notes the phases the cap left out.
+  EXPECT_EQ(obs::chrome_trace_json(rec).get_num("dropped_spans"), 1.0);
+
+  EXPECT_EQ(rec.take_spans().size(), Recorder::kMaxSpans);
+  EXPECT_TRUE(rec.spans().empty());
+  EXPECT_EQ(rec.dropped_spans(), 0u);
+  rec.on_phase_open("again", 7);
+  rec.on_phase_close(9);
+  ASSERT_EQ(rec.spans().size(), 1u);
+  EXPECT_EQ(rec.spans()[0].id, 1u);
+  EXPECT_EQ(rec.spans()[0].open_step, 7u);
+  EXPECT_EQ(rec.spans()[0].close_step, 9u);
+  EXPECT_LE(rec.spans()[0].start_ns, rec.spans()[0].end_ns);
+}
+
 
 TEST(ChromeTrace, ExportIsWellFormed) {
   pram::Machine m(2, 7);
@@ -360,13 +396,15 @@ TEST(ChromeTrace, ExportIsWellFormed) {
   }
   m.set_observer(nullptr);
 
-  const Json doc = trace::chrome_trace_json(rec);
+  const Json doc = obs::chrome_trace_json(rec);
   const Json* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-  std::size_t spans = 0, pram_spans = 0;
+  std::size_t spans = 0, pram_spans = 0, active = 0, workspace = 0;
   for (const Json& e : events->items()) {
     const std::string ph = e.get_str("ph");
+    if (ph == "C" && e.get_str("name") == "active processors") ++active;
+    if (ph == "C" && e.get_str("name") == "workspace cells") ++workspace;
     if (ph != "X") continue;
     ++spans;
     EXPECT_GE(e.get_num("dur"), 0.0);
@@ -383,6 +421,10 @@ TEST(ChromeTrace, ExportIsWellFormed) {
   // Two phases => two wall spans + two PRAM-virtual-time spans.
   EXPECT_EQ(spans, 4u);
   EXPECT_EQ(pram_spans, 2u);
+  // Both counter tracks carry the step timeline.
+  EXPECT_GT(active, 0u);
+  EXPECT_EQ(active, workspace);
+  EXPECT_EQ(doc.find("dropped_spans"), nullptr);
   // Round-trips through the parser.
   Json back;
   std::string err;

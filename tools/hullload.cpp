@@ -77,8 +77,6 @@
 // Exit codes: 0 done, 1 with --expect-all-ok if any request was
 // rejected/expired/errored or with --scrape on reconcile/tolerance
 // failure, 2 usage error, 3 connect failure.
-#include <netdb.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -95,6 +93,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/endpoint.h"
 #include "cluster/merge.h"
 #include "cluster/stats.h"
 #include "exec/backend.h"
@@ -274,27 +273,9 @@ Tally run_client_inproc(HullService& svc, const Options& opt, int client,
 }
 
 int connect_to(const std::string& hostport) {
-  const auto colon = hostport.rfind(':');
-  if (colon == std::string::npos) return -1;
-  const std::string host = hostport.substr(0, colon);
-  const std::string port = hostport.substr(colon + 1);
-  addrinfo hints{};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* res = nullptr;
-  if (::getaddrinfo(host.c_str(), port.c_str(), &hints, &res) != 0) {
-    return -1;
-  }
-  int fd = -1;
-  for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) continue;
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(res);
-  return fd;
+  iph::cluster::Endpoint ep;
+  return iph::cluster::parse_endpoint(hostport, &ep) ? iph::cluster::dial(ep)
+                                                     : -1;
 }
 
 Tally run_client_tcp(const Options& opt, const std::string& target,

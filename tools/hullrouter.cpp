@@ -9,8 +9,8 @@
 // (tools/serve_wire.h): hull requests consistent-hash across the
 // fleet, sessions pin to their opening shard, statz/tracez answer for
 // the whole fleet, and {"cmd": "markdown"|"markup", "shard": K}
-// drains / undrains one backend. Routing lives in src/cluster; this
-// file is only flag parsing, the accept loop, and the mark-down/up
+// drains / undrains one backend. Routing and the TCP accept loop live
+// in src/cluster; this file is only flag parsing and the mark-down/up
 // schedule used by benchmarks and CI to exercise churn
 // deterministically.
 //
@@ -21,14 +21,9 @@
 // SIGINT/SIGTERM stop accepting, drain in-flight connections, dump
 // --statz-out / --tracez-out snapshots and print a router summary to
 // stderr. Exit codes: 0 clean, 2 usage error, 3 socket setup failure.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -44,14 +39,12 @@
 #include "cluster/stats.h"
 #include "stats/stats.h"
 #include "support/linechan.h"
-#include "trace/json.h"
 
 namespace {
 
 using iph::cluster::Router;
 using iph::cluster::RouterConfig;
 using iph::support::LineChannel;
-using iph::trace::Json;
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -71,16 +64,6 @@ int usage(const char* argv0) {
       "deterministic churn for benchmarks and CI smoke.\n",
       argv0);
   return 2;
-}
-
-// Signal handling: flip a flag and close the listening socket so the
-// blocking accept() returns (both are async-signal-safe).
-std::atomic<bool> g_stop{false};
-int g_listen_fd = -1;
-
-void on_signal(int) {
-  g_stop.store(true);
-  if (g_listen_fd >= 0) ::close(g_listen_fd);
 }
 
 /// One scheduled administrative drain/undrain (--markdown-at-ms /
@@ -164,59 +147,6 @@ void serve_conn(Router& router, int in_fd, int out_fd) {
   }
 }
 
-int serve_tcp(Router& router, int port, bool quiet) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::perror("hullrouter: socket");
-    return 3;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
-      ::listen(fd, 64) < 0) {
-    std::perror("hullrouter: bind/listen");
-    ::close(fd);
-    return 3;
-  }
-  socklen_t alen = sizeof addr;  // report the real port when P was 0
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &alen);
-  std::printf("listening %d\n", ntohs(addr.sin_port));
-  std::fflush(stdout);
-  if (!quiet) {
-    std::fprintf(stderr, "hullrouter: listening on 127.0.0.1:%d (%zu backends)\n",
-                 ntohs(addr.sin_port), router.shard_count());
-  }
-  g_listen_fd = fd;
-  struct sigaction sa {};
-  sa.sa_handler = on_signal;
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
-
-  std::vector<std::thread> conns;
-  std::mutex conns_mu;
-  while (!g_stop.load()) {
-    const int conn = ::accept(fd, nullptr, nullptr);
-    if (conn < 0) {
-      if (g_stop.load()) break;
-      if (errno == EINTR) continue;
-      std::perror("hullrouter: accept");
-      break;
-    }
-    std::lock_guard<std::mutex> lk(conns_mu);
-    conns.emplace_back([&router, conn] {
-      serve_conn(router, conn, conn);
-      ::close(conn);
-    });
-  }
-  if (!g_stop.load()) ::close(fd);
-  for (auto& t : conns) t.join();
-  return 0;
-}
-
 void print_summary(Router& router) {
   namespace sn = iph::cluster::statnames;
   const iph::stats::RegistrySnapshot s = router.registry().snapshot();
@@ -238,18 +168,6 @@ void print_summary(Router& router) {
                static_cast<unsigned long long>(markdowns),
                static_cast<unsigned long long>(
                    s.counter_or0(sn::kRingRebuilds)));
-}
-
-void write_doc(const std::string& path, const Json& doc) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "hullrouter: cannot write %s\n", path.c_str());
-    return;
-  }
-  const std::string text = doc.dump(1);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
 }
 
 }  // namespace
@@ -310,15 +228,21 @@ int main(int argc, char** argv) {
   if (port < 0) {
     serve_conn(router, STDIN_FILENO, STDOUT_FILENO);
   } else {
-    rc = serve_tcp(router, port, quiet);
+    rc = iph::cluster::serve_tcp(port, "hullrouter", quiet,
+                                 [&router](int fd, std::uint64_t) {
+                                   serve_conn(router, fd, fd);
+                                 });
   }
   // Final fleet snapshots after the drain, so every answered line's
   // counters are included (CI uploads both as artifacts).
   if (!statz_out.empty()) {
-    write_doc(statz_out, router.fleet_statz(/*prometheus=*/false));
+    iph::cluster::write_doc(
+        statz_out, router.fleet_statz(/*prometheus=*/false), "hullrouter");
   }
   if (!tracez_out.empty()) {
-    write_doc(tracez_out, router.fleet_tracez(/*limit=*/0, /*slowest=*/true));
+    iph::cluster::write_doc(
+        tracez_out, router.fleet_tracez(/*limit=*/0, /*slowest=*/true),
+        "hullrouter");
   }
   if (!quiet) print_summary(router);
   return rc;

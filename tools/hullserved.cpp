@@ -22,17 +22,11 @@
 // SIGINT/SIGTERM stop accepting, drain in-flight connections, and
 // print the service stats to stderr. Exit codes: 0 clean, 2 usage
 // error, 3 socket setup failure.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <future>
 #include <memory>
@@ -42,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/endpoint.h"
 #include "serve/request.h"
 #include "serve/service.h"
 #include "serve_wire.h"
@@ -360,75 +355,6 @@ class StatsLogger {
   std::thread thread_;
 };
 
-// Signal handling: flip a flag and close the listening socket so the
-// blocking accept() returns (both are async-signal-safe).
-std::atomic<bool> g_stop{false};
-int g_listen_fd = -1;
-
-void on_signal(int) {
-  g_stop.store(true);
-  if (g_listen_fd >= 0) ::close(g_listen_fd);
-}
-
-int serve_tcp(HullService& svc, SessionManager& mgr, int port, bool quiet) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::perror("hullserved: socket");
-    return 3;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
-      ::listen(fd, 64) < 0) {
-    std::perror("hullserved: bind/listen");
-    ::close(fd);
-    return 3;
-  }
-  socklen_t alen = sizeof addr;  // report the real port when P was 0
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &alen);
-  // Machine-readable (always, even under --quiet): with --port 0 this
-  // line is how a launcher learns the kernel-picked port.
-  std::printf("listening %d\n", ntohs(addr.sin_port));
-  std::fflush(stdout);
-  if (!quiet) {
-    std::fprintf(stderr, "hullserved: listening on 127.0.0.1:%d\n",
-                 ntohs(addr.sin_port));
-  }
-  g_listen_fd = fd;
-  struct sigaction sa {};
-  sa.sa_handler = on_signal;
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
-
-  std::vector<std::thread> sessions;
-  std::mutex sessions_mu;
-  // Connection ids start at 2: stdin mode is connection 1, so a TCP
-  // connection's stamped trace ids never collide with a stdin run's.
-  std::uint64_t next_conn = 2;
-  while (!g_stop.load()) {
-    const int conn = ::accept(fd, nullptr, nullptr);
-    if (conn < 0) {
-      if (g_stop.load()) break;
-      if (errno == EINTR) continue;
-      std::perror("hullserved: accept");
-      break;
-    }
-    const std::uint64_t conn_id = next_conn++;
-    std::lock_guard<std::mutex> lk(sessions_mu);
-    sessions.emplace_back([&svc, &mgr, conn, conn_id] {
-      serve_stream(svc, mgr, conn, conn, conn_id);
-      ::close(conn);
-    });
-  }
-  if (!g_stop.load()) ::close(fd);
-  for (auto& t : sessions) t.join();
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -514,7 +440,11 @@ int main(int argc, char** argv) {
   if (port < 0) {
     serve_stream(svc, mgr, STDIN_FILENO, STDOUT_FILENO, /*conn_id=*/1);
   } else {
-    rc = serve_tcp(svc, mgr, port, quiet);
+    rc = iph::cluster::serve_tcp(
+        port, "hullserved", quiet,
+        [&svc, &mgr](int fd, std::uint64_t conn_id) {
+          serve_stream(svc, mgr, fd, fd, conn_id);
+        });
   }
   logger.reset();  // final tick joins before the summary prints
   svc.shutdown(/*drain=*/true);
@@ -523,25 +453,17 @@ int main(int argc, char** argv) {
   // timeline of everything retained, --tracez-out the tracez JSON
   // (same shape as the wire command; benchreport renders its exemplar
   // table from this file, and CI uploads both as artifacts).
-  if (const auto* fr = svc.flight_recorder();
-      fr != nullptr && (!trace_out.empty() || !tracez_out.empty())) {
-    const auto write_doc = [&](const std::string& path, const Json& doc) {
-      std::FILE* f = std::fopen(path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "hullserved: cannot write %s\n", path.c_str());
-        return;
-      }
-      const std::string text = doc.dump(1);
-      std::fwrite(text.data(), 1, text.size(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
-    };
+  if (const auto* fr = svc.flight_recorder(); fr != nullptr) {
     if (!trace_out.empty()) {
-      write_doc(trace_out, iph::obs::chrome_trace_json(fr->snapshot()));
+      iph::cluster::write_doc(
+          trace_out, iph::obs::chrome_trace_json(fr->snapshot()),
+          "hullserved");
     }
     if (!tracez_out.empty()) {
-      write_doc(tracez_out,
-                iph::obs::tracez_json(*fr, /*limit=*/0, /*slowest=*/true));
+      iph::cluster::write_doc(
+          tracez_out,
+          iph::obs::tracez_json(*fr, /*limit=*/0, /*slowest=*/true),
+          "hullserved");
     }
   }
   if (!quiet) print_stats(svc.stats_registry().snapshot());

@@ -228,7 +228,9 @@ endif()
 # stream survives. Request 4 is stamped with the NEXT server id
 # ("100000002" — errors never consume a sequence number). The tracez
 # command then serves the retained span trees, and --trace-out /
-# --tracez-out dump the flight recorder on shutdown.
+# --tracez-out dump the flight recorder on shutdown. --trace arms the
+# shard's PRAM phase recorder (the default backend is pram), so every
+# request's exec span carries its phase spans into the Chrome dump.
 file(WRITE "${WORK_DIR}/trace.ndjson"
 "{\"id\":1,\"n\":64,\"workload\":\"disk\",\"seed\":7}
 {\"id\":2,\"n\":64,\"workload\":\"disk\",\"seed\":8,\"trace\":{\"id\":\"abc123\",\"span\":\"7\"}}
@@ -237,7 +239,7 @@ file(WRITE "${WORK_DIR}/trace.ndjson"
 {\"cmd\":\"tracez\",\"order\":\"slowest\"}
 ")
 execute_process(
-  COMMAND "${HULLSERVED}" --quiet --shards 1 --threads 2
+  COMMAND "${HULLSERVED}" --quiet --shards 1 --threads 2 --trace
           --trace-out "${WORK_DIR}/chrome_trace.json"
           --tracez-out "${WORK_DIR}/tracez.json"
   INPUT_FILE "${WORK_DIR}/trace.ndjson"
@@ -289,6 +291,10 @@ file(READ "${WORK_DIR}/chrome_trace.json" chrome)
 if(NOT chrome MATCHES "\"traceEvents\": ?\\[" OR
    NOT chrome MATCHES "\"ph\": ?\"X\"")
   message(FATAL_ERROR "trace smoke: Chrome trace malformed:\n${chrome}")
+endif()
+if(NOT chrome MATCHES "\"source\": ?\"pram_phase\"")
+  message(FATAL_ERROR
+          "trace smoke: --trace linked no PRAM phase spans:\n${chrome}")
 endif()
 if(NOT EXISTS "${WORK_DIR}/tracez.json")
   message(FATAL_ERROR "trace smoke: --tracez-out wrote nothing")
