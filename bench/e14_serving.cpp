@@ -180,6 +180,7 @@ void e14(benchmark::State& state) {
         iph::serve::Request r;
         r.id = static_cast<iph::serve::RequestId>(i + 1);
         r.points = pts[i];
+        r.edge_above = true;  // validated below
         nfuts.push_back(nsvc.submit(std::move(r)));
       }
       std::vector<double> native_e2e;

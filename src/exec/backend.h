@@ -13,10 +13,11 @@
 // Semantics contract: all backends compute THE strict upper hull in the
 // paper's output convention (geom/hull_types.h) — vertex x strictly
 // increasing, no collinear interior vertices, per-point edge-above
-// pointers — and must pass geom/validate's oracle verifiers on any
-// input. Vertex *indices* may legitimately differ between backends when
-// the input contains duplicate points (either duplicate is a correct
-// hull vertex); vertex *coordinates* may not. The edge_above entry of a
+// pointers (guaranteed only when the caller asks for them) — and must
+// pass geom/validate's oracle verifiers on any input. Vertex *indices*
+// may legitimately differ between backends when the input contains
+// duplicate points (either duplicate is a correct hull vertex); vertex
+// *coordinates* may not. The edge_above entry of a
 // point whose x equals a hull vertex's may cite either incident edge
 // (both are valid covers; the validator accepts either, and the
 // backends' choices differ there). Each backend is individually
@@ -76,11 +77,22 @@ class Backend {
   /// Compute the upper hull of `pts`. `seed` is the request's derived
   /// randomized-CRCW seed and `alpha` the paper's in-place-bridge round
   /// budget — simulator knobs; deterministic engines may ignore both.
-  /// Thread-safety is per-implementation: PramBackend requires external
-  /// exclusivity over its machine (a serving worker owns its own), the
-  /// native engine accepts concurrent calls.
+  /// `edge_above` asks for the per-point edge-above array: when set,
+  /// HullResult2D::edge_above has one entry per input point; when not,
+  /// an engine may leave it empty (the native engine does, and skips the
+  /// work) or fill it anyway (the simulator does — its algorithms
+  /// produce it). Thread-safety is per-implementation: PramBackend
+  /// requires external exclusivity over its machine (a serving worker
+  /// owns its own), the native engine accepts concurrent calls.
   virtual HullRun upper_hull(std::span<const geom::Point2> pts,
-                             std::uint64_t seed, int alpha) = 0;
+                             std::uint64_t seed, int alpha,
+                             bool edge_above) = 0;
+
+  /// upper_hull with edge_above asked: every entry filled.
+  HullRun upper_hull(std::span<const geom::Point2> pts, std::uint64_t seed,
+                     int alpha) {
+    return upper_hull(pts, seed, alpha, /*edge_above=*/true);
+  }
 
   /// Compute the upper hull of LEXICOGRAPHICALLY SORTED `pts`
   /// (duplicates allowed; geom::lex_less non-decreasing). Engines skip
@@ -89,11 +101,18 @@ class Backend {
   /// presorted algorithms (Lemma 2.5 / Theorem 2) instead of Theorem 5.
   /// The session layer's periodic rebuilds call this — a maintained
   /// hull chain is already sorted, so paying a sort to re-derive it
-  /// would double the rebuild's work for nothing. Output and
-  /// determinism contracts are identical to upper_hull. The default
+  /// would double the rebuild's work for nothing. Output, edge_above
+  /// and determinism contracts are identical to upper_hull. The default
   /// implementation defers to upper_hull (correct, no fast path).
   virtual HullRun upper_hull_presorted(std::span<const geom::Point2> pts,
-                                       std::uint64_t seed, int alpha);
+                                       std::uint64_t seed, int alpha,
+                                       bool edge_above);
+
+  /// upper_hull_presorted with edge_above asked: every entry filled.
+  HullRun upper_hull_presorted(std::span<const geom::Point2> pts,
+                               std::uint64_t seed, int alpha) {
+    return upper_hull_presorted(pts, seed, alpha, /*edge_above=*/true);
+  }
 };
 
 }  // namespace iph::exec

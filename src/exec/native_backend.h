@@ -1,32 +1,49 @@
 // NativeBackend — the direct thread-parallel 2-d upper-hull engine.
 //
 // The fast path behind iph::serve: no PRAM simulation, no per-step
-// barrier. After the presort every stage is one linear pass with
-// sequential access over a contiguous lex-ordered array —
+// barrier. The engine only computes the upper hull, so it first drops
+// every point that provably cannot reach it, then runs linear passes
+// with sequential access over a contiguous lex-ordered array —
 //
-//   1. lex_sort (exec/radix.h): radix-sort (x-key, index) pairs, gather
-//      the points once into lex order, order each equal-x run by y —
-//      linear, not comparison-bound,
-//   2. fork-join chunk scans: each pool slice monotone-scans its
+//   1. prune (Akl–Toussaint, the filtering stage of arXiv:2209.12310):
+//      one parallel pass picks five extreme input points (lex-min,
+//      lex-max, max y, max x+y, max y-x) and builds their strict upper
+//      chain; a second keeps a point unless orient2d's double-precision
+//      static filter certifies it strictly below the chain edge over its
+//      x. An uncertain test keeps the point, so the prune never runs the
+//      exact fallback. A point strictly below a segment between two
+//      input points is strictly below the upper hull at its x: it is not
+//      a vertex, not a copy of one and not the top of a vertex's column,
+//      so no vertex index can change,
+//   2. lex_sort (exec/radix.h) of the survivors alone: radix-sort their
+//      (x-key, input index) pairs, gather them once into lex order, order
+//      each equal-x run by y — linear, not comparison-bound,
+//   3. fork-join chunk scans: each pool slice monotone-scans its
 //      contiguous x-range of the sorted array into a chunk chain
 //      (pbbsbench-hull style leaf parallelism),
-//   3. one merge of the chunk chains into the global strict upper hull —
+//   4. one merge of the chunk chains into the global strict upper hull —
 //      a point on the global hull is on its chunk's hull, so the merge
 //      is the same scan over the concatenated chains,
-//   4. a sliced walk of the sorted order against the chain fills the
-//      paper's edge-above output convention: one binary search seeds
-//      each slice, then x only moves right.
+//   5. edge_above, only when asked: a sliced walk of the sorted survivors
+//      against the chain (one binary search seeds each slice, then x
+//      only moves right), and for each dropped point an exact bucketed
+//      lookup over the hull's vertex x's (a monotone map of x to a
+//      bucket, then upper_bound inside it: O(1) expected, O(log h) at
+//      worst). Not asked, edge_above stays empty.
 //
-// upper_hull_presorted runs stages 2–4 over the caller's span itself.
-// Outputs are exact at every pool width: vertex indices are those of
-// the sequential scan (seq/upper_hull.h) over the (x, y, index) order,
-// which fixes the copy of a duplicated point that names a vertex, and
-// edge_above is seq::assign_edges_above's.
+// upper_hull_presorted runs stages 3–5 over the caller's span itself,
+// with no prune. Outputs are exact at every pool width: vertex indices
+// are those of the sequential scan (seq/upper_hull.h) over the
+// (x, y, index) order of the whole input, which fixes the copy of a
+// duplicated point that names a vertex, and edge_above, when asked, is
+// seq::assign_edges_above's.
 //
 // All turn decisions go through geom/predicates' exact orient2d — the
 // native engine and the PRAM simulator brace the same geometry, which
 // is what makes the differential harness (tests/exec_diff_test) a
-// meaningful oracle check and not a float-noise comparison.
+// meaningful oracle check and not a float-noise comparison. The prune's
+// certified test is orient2d's own static filter
+// (geom::orient2d_certified_negative).
 //
 // Small inputs (below a cutoff) run fully inline on the calling thread:
 // the serving batcher's bread-and-butter queries never touch the pool.
@@ -49,23 +66,30 @@ class NativeBackend final : public Backend {
   BackendKind kind() const noexcept override { return BackendKind::kNative; }
   unsigned threads() const noexcept { return pool_.threads(); }
 
-  /// Strict upper hull + edge-above pointers (backend.h contract).
-  /// `seed` and `alpha` are simulator knobs the deterministic native
-  /// engine ignores; its cost metrics report zero (see backend.h).
-  HullRun upper_hull(std::span<const geom::Point2> pts, std::uint64_t seed,
-                     int alpha) override;
+  using Backend::upper_hull;
+  using Backend::upper_hull_presorted;
 
-  /// Presorted fast path (backend.h): no sort and no gather — the
-  /// chunked scan and the edge walk run over `pts` itself. Same
-  /// concurrency and determinism contracts as upper_hull.
+  /// Strict upper hull, plus edge-above pointers when `edge_above` is
+  /// set; otherwise HullResult2D::edge_above is left empty (backend.h
+  /// contract). `seed` and `alpha` are simulator knobs the deterministic
+  /// native engine ignores; its cost metrics report zero (see backend.h).
+  HullRun upper_hull(std::span<const geom::Point2> pts, std::uint64_t seed,
+                     int alpha, bool edge_above) override;
+
+  /// Presorted fast path (backend.h): no prune, no sort and no gather —
+  /// the chunked scan and the edge walk run over `pts` itself. Same
+  /// edge_above, concurrency and determinism contracts as upper_hull.
   HullRun upper_hull_presorted(std::span<const geom::Point2> pts,
-                               std::uint64_t seed, int alpha) override;
+                               std::uint64_t seed, int alpha,
+                               bool edge_above) override;
 
  private:
-  /// Stages 2–4 over the lex-sorted p[0, n); order[i] is the input index
-  /// of p[i] (null: the identity).
-  HullRun finish(const geom::Point2* p, const std::uint32_t* order,
-                 std::size_t n, ThreadPool* pool);
+  /// Stages 3–5 over p[0, m), the lex-sorted survivors of input `pts`;
+  /// order[i] is the input index of p[i] (null: the identity, p is pts).
+  /// With `edge_above`, one entry per input point: the walk fills the
+  /// survivors', the bucketed lookup the dropped points'.
+  HullRun finish(std::span<const geom::Point2> pts, const geom::Point2* p,
+                 const std::uint32_t* order, std::size_t m, bool edge_above);
 
   ThreadPool pool_;
 };

@@ -6,7 +6,8 @@
 namespace iph::exec {
 
 HullRun PramBackend::upper_hull(std::span<const geom::Point2> pts,
-                                std::uint64_t seed, int alpha) {
+                                std::uint64_t seed, int alpha,
+                                bool /*edge_above*/) {
   m_.reset(seed);
   Options opts;
   opts.alpha = alpha;
@@ -21,7 +22,8 @@ HullRun PramBackend::upper_hull(std::span<const geom::Point2> pts,
 }
 
 HullRun PramBackend::upper_hull_presorted(std::span<const geom::Point2> pts,
-                                          std::uint64_t seed, int alpha) {
+                                          std::uint64_t seed, int alpha,
+                                          bool /*edge_above*/) {
   m_.reset(seed);
   Options opts;
   opts.alpha = alpha;

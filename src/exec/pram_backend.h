@@ -28,18 +28,23 @@ class PramBackend final : public Backend {
 
   BackendKind kind() const noexcept override { return BackendKind::kPram; }
 
+  using Backend::upper_hull;
+  using Backend::upper_hull_presorted;
+
   /// Resets the machine to `seed`, runs the simulator, returns hull +
   /// per-request PRAM metrics (the machine's cumulative metrics after
-  /// the reset, i.e. this request's alone).
+  /// the reset, i.e. this request's alone). edge_above is always filled:
+  /// the paper's algorithms produce it, asked or not.
   HullRun upper_hull(std::span<const geom::Point2> pts, std::uint64_t seed,
-                     int alpha) override;
+                     int alpha, bool edge_above) override;
 
   /// Presorted fast path (backend.h): runs the paper's presorted
   /// algorithms (core/api upper_hull_2d_presorted — Lemma 2.5 by
   /// default) instead of the Theorem 5 unsorted pipeline. Same reset /
-  /// metrics semantics as upper_hull.
+  /// metrics / edge_above semantics as upper_hull.
   HullRun upper_hull_presorted(std::span<const geom::Point2> pts,
-                               std::uint64_t seed, int alpha) override;
+                               std::uint64_t seed, int alpha,
+                               bool edge_above) override;
 
  private:
   pram::Machine& m_;

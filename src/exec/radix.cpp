@@ -29,9 +29,12 @@ std::size_t digit(std::uint64_t key, std::size_t d) noexcept {
 /// Stable LSD radix sort of the keys key_of(0 .. n-1) carrying their
 /// positions: returns perm with key_of(perm[0]) <= key_of(perm[1]) <=
 /// ..., equal keys in position order. A digit that is the same in every
-/// key costs no pass (the AND and the OR of all keys agree there).
+/// key costs no pass (the AND and the OR of all keys agree there). With
+/// `carry`, position i is reported as carry[i] instead (the first pass
+/// writes it, so no later step maps positions back).
 template <class KeyOf>
 std::vector<std::uint32_t> sort_by_key(std::size_t n, const KeyOf& key_of,
+                                       const std::uint32_t* carry,
                                        ThreadPool* pool) {
   // Both key buffers in one block: once it is freed, the gather's point
   // array (the same 16 bytes per point) fits exactly where it was.
@@ -61,7 +64,11 @@ std::vector<std::uint32_t> sort_by_key(std::size_t n, const KeyOf& key_of,
   }
   std::vector<std::uint32_t> idx(n);
   if (passes.empty()) {
-    std::iota(idx.begin(), idx.end(), 0u);
+    if (carry != nullptr) {
+      std::copy(carry, carry + n, idx.begin());
+    } else {
+      std::iota(idx.begin(), idx.end(), 0u);
+    }
     return idx;
   }
   std::vector<std::uint32_t> idx2(n);
@@ -93,7 +100,9 @@ std::vector<std::uint32_t> sort_by_key(std::size_t n, const KeyOf& key_of,
                    const std::uint64_t k = key[i];
                    const std::uint32_t at = o[digit(k, d)]++;
                    if (!last) key2[at] = k;
-                   idx2[at] = first ? static_cast<std::uint32_t>(i) : idx[i];
+                   idx2[at] = !first            ? idx[i]
+                              : carry != nullptr ? carry[i]
+                                                 : static_cast<std::uint32_t>(i);
                  }
                });
     std::swap(key, key2);
@@ -124,7 +133,8 @@ void order_run(Point2* p, std::uint32_t* order, std::size_t len) {
     return;
   }
   const std::vector<std::uint32_t> perm = sort_by_key(
-      len, [&](std::size_t k) { return double_key(p[k].y); }, nullptr);
+      len, [&](std::size_t k) { return double_key(p[k].y); }, nullptr,
+      nullptr);
   const std::vector<Point2> pts(p, p + len);
   const std::vector<std::uint32_t> ord(order, order + len);
   for (std::size_t k = 0; k < len; ++k) {
@@ -147,13 +157,22 @@ std::uint64_t double_key(double d) noexcept {
   return (b & kSign) ? kSign - mag : kSign + mag;
 }
 
-LexSorted lex_sort(std::span<const Point2> pts, ThreadPool* pool) {
-  const std::size_t n = pts.size();
+namespace {
+
+/// lex_sort of pts[sel[0 .. n)], or of all of pts when sel is null.
+LexSorted lex_sort_of(std::span<const Point2> pts, const std::uint32_t* sel,
+                      std::size_t n, ThreadPool* pool) {
   if (pool != nullptr && n < kParCutoff) pool = nullptr;
   const std::size_t slices = slice_count(pool, n, kGrain);
   LexSorted out;
-  out.order = sort_by_key(
-      n, [&](std::size_t i) { return double_key(pts[i].x); }, pool);
+  out.order = sel != nullptr
+                  ? sort_by_key(
+                        n,
+                        [&](std::size_t i) { return double_key(pts[sel[i]].x); },
+                        sel, pool)
+                  : sort_by_key(
+                        n, [&](std::size_t i) { return double_key(pts[i].x); },
+                        nullptr, pool);
   // Steps 2 and 3. A slice owns the runs that start in it, however far
   // they reach, so no two slices touch one run; where each slice's first
   // run starts is found read-only before anything moves.
@@ -182,6 +201,17 @@ LexSorted lex_sort(std::span<const Point2> pts, ThreadPool* pool) {
     }
   });
   return out;
+}
+
+}  // namespace
+
+LexSorted lex_sort(std::span<const Point2> pts, ThreadPool* pool) {
+  return lex_sort_of(pts, nullptr, pts.size(), pool);
+}
+
+LexSorted lex_sort(std::span<const Point2> pts,
+                   std::span<const std::uint32_t> sel, ThreadPool* pool) {
+  return lex_sort_of(pts, sel.data(), sel.size(), pool);
 }
 
 std::vector<std::uint32_t> lex_sort_indices(std::span<const Point2> pts,

@@ -19,6 +19,11 @@
 //      long ones radix-sorted by y-key, so even a single vertical column
 //      stays linear.
 //
+// A second overload sorts a subset given by its input indices (the
+// native engine's prune survivors): the first radix pass carries those
+// indices, so nothing maps positions back and nothing outside the
+// subset is keyed or gathered.
+//
 // Large inputs sort in parallel on the caller's ThreadPool: per-slice
 // digit counts, one (digit, slice)-order prefix, per-slice stable
 // scatter; the gather and the run ordering split [0, n) at run
@@ -50,6 +55,14 @@ struct LexSorted {
 /// and the points gathered into it. `pool` may be null (or the input
 /// small): everything runs on the calling thread with the same result.
 LexSorted lex_sort(std::span<const geom::Point2> pts, ThreadPool* pool);
+
+/// lex_sort of the subset pts[sel[0]], pts[sel[1]], ... for strictly
+/// increasing input indices `sel` (the native engine's prune
+/// survivors). The first radix pass carries the input indices, so
+/// order[i] is an index into `pts` and points[i] == pts[order[i]];
+/// only the subset is keyed, sorted and gathered.
+LexSorted lex_sort(std::span<const geom::Point2> pts,
+                   std::span<const std::uint32_t> sel, ThreadPool* pool);
 
 /// lex_sort's permutation alone.
 std::vector<std::uint32_t> lex_sort_indices(

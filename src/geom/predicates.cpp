@@ -98,23 +98,13 @@ int cross_diff_exact(const Point2& a, const Point2& b, const Point2& c,
   return e.sign();
 }
 
-// Static filter constants (Shewchuk): the double evaluation of the 2x2
-// determinant of differences has relative error < kO2Err * (|detleft| +
-// |detright|); a magnitude above that certifies the sign.
-constexpr double kEps = 1.1102230246251565e-16;  // 2^-53
-constexpr double kO2Err = (3.0 + 16.0 * kEps) * kEps;
-
 }  // namespace
 
 int cross_diff_sign(const Point2& a, const Point2& b, const Point2& c,
                     const Point2& d) noexcept {
-  const double detleft = (b.x - a.x) * (d.y - c.y);
-  const double detright = (b.y - a.y) * (d.x - c.x);
-  const double det = detleft - detright;
-  const double detsum = std::fabs(detleft) + std::fabs(detright);
-  if (std::fabs(det) > kO2Err * detsum) {
-    return det > 0.0 ? 1 : -1;
-  }
+  const detail::FilteredDet f = detail::filtered_det(a, b, c, d);
+  if (f.det > f.bound) return 1;
+  if (f.det < -f.bound) return -1;
   return cross_diff_exact(a, b, c, d);
 }
 
@@ -143,7 +133,7 @@ int orient3d_slow(const Point3& a, const Point3& b, const Point3& c,
   return 0;
 }
 
-constexpr double kO3Err = (7.0 + 56.0 * kEps) * kEps;
+constexpr double kO3Err = (7.0 + 56.0 * detail::kEps) * detail::kEps;
 
 }  // namespace
 

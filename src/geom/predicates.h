@@ -18,12 +18,52 @@
 //                          (a,b,c,d) is positive).
 #pragma once
 
+#include <cmath>
+
 #include "geom/point.h"
 
 namespace iph::geom {
 
+namespace detail {
+/// Shewchuk's static filter bound: the double evaluation of the 2x2
+/// determinant of differences errs by less than kO2Err * (|detleft| +
+/// |detright|), so a larger magnitude certifies the sign.
+constexpr double kEps = 1.1102230246251565e-16;  // 2^-53
+constexpr double kO2Err = (3.0 + 16.0 * kEps) * kEps;
+/// The bound assumes no product underflowed; below this sum of product
+/// magnitudes the filter certifies nothing.
+constexpr double kO2Min = 0x1p-900;
+
+/// (b.x-a.x)(d.y-c.y) - (b.y-a.y)(d.x-c.x) in double, and the bound its
+/// magnitude must exceed for its sign to be certain: +inf (nothing is
+/// certain) at underflow scale; overflow and NaN certify nothing either.
+/// Computed without branches.
+struct FilteredDet {
+  double det;
+  double bound;
+};
+inline FilteredDet filtered_det(const Point2& a, const Point2& b,
+                                const Point2& c, const Point2& d) noexcept {
+  const double detleft = (b.x - a.x) * (d.y - c.y);
+  const double detright = (b.y - a.y) * (d.x - c.x);
+  const double detsum = std::fabs(detleft) + std::fabs(detright);
+  return {detleft - detright,
+          detsum >= kO2Min ? kO2Err * detsum : HUGE_VAL};
+}
+}  // namespace detail
+
 /// Sign of the 2x2 orientation determinant. Returns -1, 0 or +1.
 int orient2d(const Point2& a, const Point2& b, const Point2& c) noexcept;
+
+/// True when orient2d's static filter alone certifies orient2d(a, b, c)
+/// < 0 — c strictly right of the directed line a->b; false when the sign
+/// is not negative or not certain. No branch and no exact fallback: for
+/// per-point passes where only a certified answer may act.
+inline bool orient2d_certified_negative(const Point2& a, const Point2& b,
+                                        const Point2& c) noexcept {
+  const detail::FilteredDet f = detail::filtered_det(a, b, a, c);
+  return f.det < -f.bound;
+}
 
 /// Exact sign of (b.x-a.x)(d.y-c.y) - (b.y-a.y)(d.x-c.x), i.e. the cross
 /// product of vectors (a->b) and (c->d). orient2d(a,b,c) equals

@@ -27,7 +27,8 @@ std::vector<Response> execute_batch(const BackendSet& backends,
     exec::Backend* backend = backends.resolve(r.backend);
     const bool on_pram = backend->kind() != exec::BackendKind::kNative;
     const auto t0 = Clock::now();
-    exec::HullRun run = backend->upper_hull(r.points, seed, r.alpha);
+    exec::HullRun run =
+        backend->upper_hull(r.points, seed, r.alpha, r.edge_above);
     const auto t1 = Clock::now();
     std::vector<trace::PhaseSpan> phases;
     if (on_pram && backends.recorder != nullptr) {

@@ -80,6 +80,11 @@ struct Request {
   /// only up to duplicate-point index choice (backend.h semantics
   /// contract; the differential suite holds them to it).
   exec::BackendKind backend = exec::BackendKind::kDefault;
+  /// Ask for the per-point edge-above array (n entries; the wire field
+  /// "edge_above"). Only an asked-for array is guaranteed: the native
+  /// engine leaves Response::hull.edge_above empty otherwise, the PRAM
+  /// engine fills it either way (exec/backend.h).
+  bool edge_above = false;
   /// Absolute deadline; default-constructed = none. A request found
   /// past its deadline at dequeue time is answered kExpired without
   /// executing (expiry is detected at dequeue, not by a timer).
@@ -123,7 +128,9 @@ struct RequestMetrics {
 struct Response {
   RequestId id = 0;
   Status status = Status::kOk;
-  geom::HullResult2D hull;  ///< Valid iff status == kOk.
+  /// Valid iff status == kOk; hull.edge_above only if the request asked
+  /// for it (Request::edge_above).
+  geom::HullResult2D hull;
   RequestMetrics metrics;
   /// The trace identity the request ran under (caller's id adopted
   /// verbatim, or the one the service stamped). Echoed on the wire so

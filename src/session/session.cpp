@@ -136,8 +136,8 @@ bool HullSession::rebuild_side(exec::Backend& backend, Side side,
   const std::uint64_t rb_seed = support::mix3(
       cfg_.seed, 0x7265626c64ULL /* "rebld" */,
       (rebuilds_ << 1) | static_cast<std::uint64_t>(side));
-  exec::HullRun run =
-      backend.upper_hull_presorted(merged, rb_seed, cfg_.alpha);
+  exec::HullRun run = backend.upper_hull_presorted(merged, rb_seed, cfg_.alpha,
+                                                  /*edge_above=*/false);
   res->rebuild_metrics.add_counters(run.metrics);
   ledger_.record_space_release(transient, pram::SpaceKind::kAux);
 

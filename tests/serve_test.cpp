@@ -22,6 +22,7 @@
 #include "serve/request.h"
 #include "serve/service.h"
 #include "serve/stats.h"
+#include "seq/upper_hull.h"
 #include "obs/flight_recorder.h"
 #include "obs/span.h"
 #include "stats/stats.h"
@@ -600,6 +601,7 @@ TEST(HullService, NativeBackendRoundTripBumpsLabeledCounter) {
   HullService svc(cfg);  // service default stays pram
   Request r = make_request(5, 600, 13);
   r.backend = exec::BackendKind::kNative;
+  r.edge_above = true;
   const Response resp = svc.submit(std::move(r)).get();
   ASSERT_EQ(resp.status, Status::kOk);
   EXPECT_EQ(resp.metrics.backend, exec::BackendKind::kNative);
@@ -621,6 +623,87 @@ TEST(HullService, NativeBackendRoundTripBumpsLabeledCounter) {
             0u);
   // No PRAM run happened, so the folded simulator counters stayed flat.
   EXPECT_EQ(snap.counter_or0("iph_serve_pram_steps_total"), 0u);
+}
+
+// edge_above is opt-in (Request::edge_above, the wire's "edge_above"): a
+// native request that does not ask gets an empty array, one that asks
+// gets exactly seq::assign_edges_above's — on the batch lane and on the
+// large lane, whose 2^16-point run crosses the engine's parallel paths.
+TEST(HullService, NativeEdgeAboveIsOptIn) {
+  ServiceConfig cfg = small_config();
+  cfg.backend = exec::BackendKind::kNative;
+  HullService svc(cfg);
+  for (const std::size_t n : {std::size_t{600}, std::size_t{1} << 16}) {
+    const auto pts = geom::in_disk(n, 21);
+    Request skip = make_request(1, n, 21);
+    Request ask = make_request(2, n, 21);
+    ask.edge_above = true;
+    const Response a = svc.submit(std::move(skip)).get();
+    const Response b = svc.submit(std::move(ask)).get();
+    ASSERT_EQ(a.status, Status::kOk) << n;
+    ASSERT_EQ(b.status, Status::kOk) << n;
+    EXPECT_EQ(a.metrics.backend, exec::BackendKind::kNative) << n;
+    EXPECT_TRUE(a.hull.edge_above.empty()) << n;
+    EXPECT_EQ(a.hull.upper.vertices, b.hull.upper.vertices) << n;
+    EXPECT_EQ(b.hull.edge_above, seq::assign_edges_above(pts, b.hull.upper))
+        << n;
+  }
+}
+
+// The wire decoder range-checks every number before it casts it: lines
+// that once crashed or fooled hullserved are ordinary decode errors, and
+// the edge_above flag reaches the Request.
+TEST(WireDecoder, RejectsOutOfRangeFieldsAndCarriesEdgeAbove) {
+  auto decode = [](const std::string& line, Request* req, bool* want,
+                   std::string* err) {
+    trace::Json j;
+    EXPECT_TRUE(trace::Json::parse(line, &j, err)) << line;
+    return tools::request_from_json(j, req, want, err);
+  };
+  for (const char* bad : {
+           R"({"n":-5})", R"({"n":1e12})", R"({"n":2.5})",
+           R"({"n":2,"alpha":-3,"backend":"pram"})", R"({"n":2,"alpha":0})",
+           R"({"n":2,"alpha":1e9})", R"({"points":[[0,0],[1e400,1],[2,0]]})",
+           R"({"points":[[0,0],[1,-1e999]]})", R"({"id":-1,"n":4})",
+           R"({"id":1e300,"n":4})", R"({"id":"7","n":4})",
+           R"({"n":4,"seed":-2})", R"({"n":4,"seed":1e30})",
+           R"({"n":4,"deadline_ms":-1})", R"({"n":4,"deadline_ms":1e300})",
+           R"({"n":0})", R"({})"}) {
+    Request req;
+    bool want = false;
+    std::string err;
+    EXPECT_FALSE(decode(bad, &req, &want, &err)) << bad;
+    EXPECT_FALSE(err.empty()) << bad;
+  }
+  Request req;
+  bool want = false;
+  std::string err;
+  ASSERT_TRUE(decode(R"({"id":9,"n":64,"seed":3,"alpha":64,"deadline_ms":5,"edge_above":true})",
+                     &req, &want, &err))
+      << err;
+  EXPECT_EQ(req.id, 9u);
+  EXPECT_EQ(req.points.size(), 64u);
+  EXPECT_EQ(req.alpha, 64);
+  EXPECT_TRUE(req.has_deadline());
+  EXPECT_TRUE(want);
+  EXPECT_TRUE(req.edge_above);
+  ASSERT_TRUE(decode(R"({"points":[[0,0],[1,2],[2,0]]})", &req, &want, &err))
+      << err;
+  EXPECT_FALSE(want);
+  EXPECT_FALSE(req.edge_above);
+  EXPECT_EQ(req.alpha, 8);
+
+  std::uint64_t sid = 0;
+  std::vector<geom::Point2> pts;
+  for (const char* bad : {R"({"sid":1,"n":-5})", R"({"sid":1,"n":1e12})",
+                          R"({"sid":1,"points":[[1e400,0]]})",
+                          R"({"sid":1e300,"n":4})", R"({"sid":0,"n":4})"}) {
+    trace::Json j;
+    ASSERT_TRUE(trace::Json::parse(bad, &j, &err)) << bad;
+    err.clear();
+    EXPECT_FALSE(tools::session_append_from_json(j, &sid, &pts, &err)) << bad;
+    EXPECT_FALSE(err.empty()) << bad;
+  }
 }
 
 // ServiceConfig::backend routes kDefault requests; an explicit request
@@ -708,6 +791,7 @@ TEST(HullService, WireResponseIdenticalAcrossBackends) {
                              : exec::BackendKind::kNative;
     HullService svc(cfg);
     Request r = make_request(77, 400, 6);  // same id -> same derived seed
+    r.edge_above = true;
     by[which] = svc.submit(std::move(r)).get();
     ASSERT_EQ(by[which].status, Status::kOk);
   }

@@ -4,7 +4,9 @@
 #      exit 0 at EOF. A trailing {"cmd":"statz"} line must be answered
 #      with the service registry, whose counters (answered in stream
 #      order, after every earlier response) reconcile exactly with the
-#      session: 3 valid submissions out of 5 lines.
+#      session: 3 valid submissions out of 5 lines. Four lines with
+#      out-of-range numbers or an infinite coordinate each get a
+#      bad_request reject, and the line after them is still answered.
 #   2. hullload driving an in-process service must complete a small
 #      closed-loop burst with every request ok (exit 0 under
 #      --expect-all-ok) and emit a parseable --json summary; with
@@ -85,6 +87,37 @@ endif()
 if(NOT out MATCHES "\"iph_serve_completed_total\":3")
   message(FATAL_ERROR
           "hullserved: statz completed counter should be exactly 3:\n${out}")
+endif()
+
+# Lines that once killed or fooled the server (a negative or huge
+# generated n, an alpha the simulator cannot run, an infinite
+# coordinate) each get a bad_request reject, and the stream keeps
+# answering: the valid line after them is "ok".
+file(WRITE "${WORK_DIR}/crash_lines.ndjson"
+"{\"n\":-5}
+{\"n\":1e12}
+{\"n\":2,\"alpha\":-3,\"backend\":\"pram\"}
+{\"points\":[[0,0],[1e400,1],[2,0]]}
+{\"id\":9,\"points\":[[0,0],[1,2],[2,0]]}
+")
+execute_process(
+  COMMAND "${HULLSERVED}" --quiet --shards 1 --threads 2
+  INPUT_FILE "${WORK_DIR}/crash_lines.ndjson"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "hullserved (crash lines): expected exit 0, got ${rc}\n${err}")
+endif()
+string(REGEX MATCHALL "\"reject\":\"bad_request\"" rejects "${out}")
+list(LENGTH rejects n_rejects)
+if(NOT n_rejects EQUAL 4)
+  message(FATAL_ERROR
+          "hullserved: expected 4 bad_request rejects, got ${n_rejects}:\n${out}")
+endif()
+if(NOT out MATCHES "\"id\":9,\"status\":\"ok\"")
+  message(FATAL_ERROR
+          "hullserved: the valid line after the crash lines was not ok:\n${out}")
 endif()
 
 # --- Case 2: hullload closed-loop burst, in-process -------------------

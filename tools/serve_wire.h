@@ -24,7 +24,12 @@
 // Non-ok statuses ("rejected_full", "rejected_shutdown", "expired")
 // omit "hull"/"edge_count". A line the server cannot parse is answered
 // {"error": "..."} and the stream continues — the protocol never goes
-// silent mid-stream.
+// silent mid-stream. Numbers are range-checked before any cast: "id",
+// "seed", "sid" and "limit" must be integers in [0, 2^53] ("sid" from
+// 1), "alpha" an integer in [1, kMaxAlpha], a generated "n" an integer
+// in [1, kMaxGeneratedPoints], "deadline_ms" a number in
+// [0, kMaxDeadlineMs], and every coordinate finite; anything else is a
+// bad_request error line.
 //
 // The metrics "seed" is serialized as a decimal string: it is a full
 // 64-bit splitmix value and Json numbers are doubles.
@@ -93,7 +98,9 @@
 // backend, plus the router-minted reasons listed in protocol.h.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -128,9 +135,90 @@ inline bool make_workload(const std::string& name, std::size_t n,
   return false;
 }
 
+/// Largest "n" a request or session_append may ask the server to
+/// generate: 2^22 points, 64 MiB of coordinates. Inline "points" are
+/// bounded by the line itself.
+inline constexpr double kMaxGeneratedPoints = 4194304;
+/// Largest "alpha" (in-place-bridge round budget) a request may pin.
+inline constexpr double kMaxAlpha = 64;
+/// Largest "id" and "seed": 2^53, the last integer a JSON number (a
+/// double) holds exactly.
+inline constexpr double kMaxWireInteger = 9007199254740992.0;
+/// Largest "deadline_ms": one day.
+inline constexpr double kMaxDeadlineMs = 86400000;
+
+/// Read the number `key` of `j` into *out: `dflt` when absent, false
+/// with a message in *err unless it is a number in [lo, hi] (and, with
+/// `integral`, an integer). Every numeric field passes through here
+/// before any cast, so no wire value reaches an out-of-range conversion.
+inline bool number_field(const trace::Json& j, const std::string& key,
+                         double lo, double hi, bool integral, double dflt,
+                         double* out, std::string* err) {
+  const trace::Json* f = j.find(key);
+  if (f == nullptr) {
+    *out = dflt;
+    return true;
+  }
+  const double v = f->is_number() ? f->as_double() : std::nan("");
+  if (!(v >= lo && v <= hi) || (integral && v != std::floor(v))) {
+    char range[96];
+    std::snprintf(range, sizeof range, " in [%.17g, %.17g]", lo, hi);
+    *err = "\"" + key + "\" must be " + (integral ? "an integer" : "a number") +
+           range;
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+/// Decode inline "points": [x, y] pairs of finite numbers.
+inline bool points_from_json(const trace::Json& pts,
+                             std::vector<geom::Point2>* out,
+                             std::string* err) {
+  out->reserve(pts.size());
+  for (const trace::Json& p : pts.items()) {
+    if (!p.is_array() || p.size() != 2 || !p.at(0).is_number() ||
+        !p.at(1).is_number()) {
+      *err = "\"points\" entries must be [x, y] number pairs";
+      return false;
+    }
+    const geom::Point2 q{p.at(0).as_double(), p.at(1).as_double()};
+    if (!std::isfinite(q.x) || !std::isfinite(q.y)) {
+      *err = "\"points\" coordinates must be finite";
+      return false;
+    }
+    out->push_back(q);
+  }
+  return true;
+}
+
+/// Generate the named batch of a line without "points": "n" (an integer
+/// in [1, kMaxGeneratedPoints]), "workload" (default "disk") and "seed".
+inline bool generated_from_json(const trace::Json& j,
+                                std::vector<geom::Point2>* out,
+                                std::string* err) {
+  double n = 0;
+  double seed = 0;
+  if (!number_field(j, "n", 1, kMaxGeneratedPoints, true, 0, &n, err) ||
+      !number_field(j, "seed", 0, kMaxWireInteger, true, 0, &seed, err)) {
+    return false;
+  }
+  if (n == 0) {
+    *err = "line needs \"points\" or a positive \"n\"";
+    return false;
+  }
+  const std::string workload = j.get_str("workload", "disk");
+  if (!make_workload(workload, static_cast<std::size_t>(n),
+                     static_cast<std::uint64_t>(seed), out)) {
+    *err = "unknown workload \"" + workload + "\"";
+    return false;
+  }
+  return true;
+}
+
 /// Decode one request line. On success fills `out` (deadline resolved
-/// against Clock::now()) and `want_edge_above`; on failure returns
-/// false with a message in *err.
+/// against Clock::now(), Request::edge_above from the wire field) and
+/// `want_edge_above`; on failure returns false with a message in *err.
 inline bool request_from_json(const trace::Json& j, serve::Request* out,
                               bool* want_edge_above, std::string* err) {
   if (!j.is_object()) {
@@ -138,30 +226,21 @@ inline bool request_from_json(const trace::Json& j, serve::Request* out,
     return false;
   }
   *out = serve::Request{};
-  out->id = static_cast<serve::RequestId>(j.get_num("id", 0));
-  out->alpha = static_cast<int>(j.get_num("alpha", 8));
+  double id = 0;
+  double alpha = 0;
+  double deadline_ms = 0;
+  if (!number_field(j, "id", 0, kMaxWireInteger, true, 0, &id, err) ||
+      !number_field(j, "alpha", 1, kMaxAlpha, true, 8, &alpha, err) ||
+      !number_field(j, "deadline_ms", 0, kMaxDeadlineMs, false, 0,
+                    &deadline_ms, err)) {
+    return false;
+  }
+  out->id = static_cast<serve::RequestId>(id);
+  out->alpha = static_cast<int>(alpha);
   if (const trace::Json* pts = j.find("points"); pts && pts->is_array()) {
-    out->points.reserve(pts->size());
-    for (const trace::Json& p : pts->items()) {
-      if (!p.is_array() || p.size() != 2 || !p.at(0).is_number() ||
-          !p.at(1).is_number()) {
-        *err = "\"points\" entries must be [x, y] number pairs";
-        return false;
-      }
-      out->points.push_back({p.at(0).as_double(), p.at(1).as_double()});
-    }
-  } else {
-    const auto n = static_cast<std::size_t>(j.get_num("n", 0));
-    const std::string workload = j.get_str("workload", "disk");
-    const auto seed = static_cast<std::uint64_t>(j.get_num("seed", 0));
-    if (n == 0) {
-      *err = "request needs \"points\" or a positive \"n\"";
-      return false;
-    }
-    if (!make_workload(workload, n, seed, &out->points)) {
-      *err = "unknown workload \"" + workload + "\"";
-      return false;
-    }
+    if (!points_from_json(*pts, &out->points, err)) return false;
+  } else if (!generated_from_json(j, &out->points, err)) {
+    return false;
   }
   if (const trace::Json* b = j.find("backend"); b != nullptr) {
     if (!b->is_string() ||
@@ -189,13 +268,14 @@ inline bool request_from_json(const trace::Json& j, serve::Request* out,
       }
     }
   }
-  if (const double ms = j.get_num("deadline_ms", 0); ms > 0) {
+  if (deadline_ms > 0) {
     out->deadline = serve::Clock::now() +
                     std::chrono::microseconds(
-                        static_cast<std::int64_t>(ms * 1000.0));
+                        static_cast<std::int64_t>(deadline_ms * 1000.0));
   }
   const trace::Json* ea = j.find("edge_above");
   *want_edge_above = ea != nullptr && ea->as_bool();
+  out->edge_above = *want_edge_above;
   return true;
 }
 
@@ -275,13 +355,11 @@ inline bool tracez_args_from_json(const trace::Json& j, std::size_t* limit,
                                   bool* slowest, std::string* err) {
   *limit = 16;
   *slowest = false;
-  if (const trace::Json* l = j.find("limit"); l != nullptr) {
-    if (!l->is_number() || l->as_double() < 0) {
-      *err = "\"limit\" must be a non-negative number";
-      return false;
-    }
-    *limit = static_cast<std::size_t>(l->as_double());
+  double l = 0;
+  if (!number_field(j, "limit", 0, kMaxWireInteger, true, 16, &l, err)) {
+    return false;
   }
+  *limit = static_cast<std::size_t>(l);
   if (const trace::Json* o = j.find("order"); o != nullptr) {
     if (!o->is_string() || (o->as_string() != "recent" &&
                             o->as_string() != "slowest")) {
@@ -322,12 +400,13 @@ inline bool session_open_from_json(const trace::Json& j,
 /// "unknown": unknown is reserved for well-formed ids never issued.
 inline bool session_sid_from_json(const trace::Json& j, std::uint64_t* sid,
                                   std::string* err) {
-  const trace::Json* s = j.find("sid");
-  if (s == nullptr || !s->is_number() || s->as_double() < 1) {
-    *err = "session command needs a positive \"sid\"";
+  double v = 0;
+  if (j.find("sid") == nullptr ||
+      !number_field(j, "sid", 1, kMaxWireInteger, true, 0, &v, err)) {
+    *err = "session command needs a positive integer \"sid\"";
     return false;
   }
-  *sid = static_cast<std::uint64_t>(s->as_double());
+  *sid = static_cast<std::uint64_t>(v);
   return true;
 }
 
@@ -340,29 +419,9 @@ inline bool session_append_from_json(const trace::Json& j,
   if (!session_sid_from_json(j, sid, err)) return false;
   pts->clear();
   if (const trace::Json* p = j.find("points"); p && p->is_array()) {
-    pts->reserve(p->size());
-    for (const trace::Json& e : p->items()) {
-      if (!e.is_array() || e.size() != 2 || !e.at(0).is_number() ||
-          !e.at(1).is_number()) {
-        *err = "\"points\" entries must be [x, y] number pairs";
-        return false;
-      }
-      pts->push_back({e.at(0).as_double(), e.at(1).as_double()});
-    }
-    return true;
+    return points_from_json(*p, pts, err);
   }
-  const auto n = static_cast<std::size_t>(j.get_num("n", 0));
-  if (n == 0) {
-    *err = "session_append needs \"points\" or a positive \"n\"";
-    return false;
-  }
-  const std::string workload = j.get_str("workload", "disk");
-  const auto seed = static_cast<std::uint64_t>(j.get_num("seed", 0));
-  if (!make_workload(workload, n, seed, pts)) {
-    *err = "unknown workload \"" + workload + "\"";
-    return false;
-  }
-  return true;
+  return generated_from_json(j, pts, err);
 }
 
 /// Encode a session_open answer.
