@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 
 #include "geom/point.h"
 #include "geom/predicates.h"
@@ -70,6 +72,65 @@ TEST(CrossDiffSign, SlopeComparison) {
   EXPECT_EQ(-cross_diff_sign(a1, b1, a2, b2), -1);
   // Equal slopes.
   EXPECT_EQ(cross_diff_sign({0, 0}, {2, 1}, {10, 7}, {14, 9}), 0);
+}
+
+TEST(CrossDiffSign, ExactBelowTheFilterScale) {
+  // Coordinates k * 2^-537 with integer k, |k| < 2^40 (about 1e-150 and
+  // down to 1e-161): every |detleft| + |detright| is below 2^-900, where
+  // the static filter certifies nothing, and every partial product of
+  // the exact expansion is a multiple of 2^-1074, so it stays exact.
+  // Half the draws keep |k| < 2^8, where the products are subnormal.
+  // Each sign must be the integer determinant's, and the same integers
+  // at unit scale (the filter's ordinary range) must agree.
+  using K = std::array<std::int64_t, 2>;
+  const auto tiny = [](const K& v) {
+    return Point2{std::ldexp(static_cast<double>(v[0]), -537),
+                  std::ldexp(static_cast<double>(v[1]), -537)};
+  };
+  const auto unit = [](const K& v) {
+    return Point2{static_cast<double>(v[0]), static_cast<double>(v[1])};
+  };
+  const auto sign = [](const K& a, const K& b, const K& c, const K& d) {
+    const __int128 det =
+        static_cast<__int128>(b[0] - a[0]) * (d[1] - c[1]) -
+        static_cast<__int128>(b[1] - a[1]) * (d[0] - c[0]);
+    return det > 0 ? 1 : det < 0 ? -1 : 0;
+  };
+  support::Rng rng(13, 4);
+  int signs[3] = {0, 0, 0};
+  for (int i = 0; i < 6000; ++i) {
+    const int bits = i % 2 == 0 ? 40 : 8;
+    const auto k = [&] {
+      return static_cast<std::int64_t>(rng.next_u64() >> (63 - bits)) -
+             (std::int64_t{1} << bits);
+    };
+    const K a{k(), k()}, b{k(), k()};
+    // c on the line a->b, or 1 unit above or below it, or anywhere.
+    const std::int64_t m = static_cast<std::int64_t>(rng.next_u64() % 5) - 2;
+    const std::int64_t nudge = static_cast<std::int64_t>(i / 2 % 4) - 1;
+    const K c = nudge == 2 ? K{k(), k()}
+                           : K{a[0] + m * (b[0] - a[0]),
+                               a[1] + m * (b[1] - a[1]) + nudge};
+    // d - c parallel to b - a, or 1 unit off parallel, or anywhere.
+    const K d = nudge == 2 ? K{k(), k()}
+                           : K{c[0] + m * (b[0] - a[0]),
+                               c[1] + m * (b[1] - a[1]) + nudge};
+    const int want3 = sign(a, b, a, c);
+    const int want4 = sign(a, b, c, d);
+    ++signs[want3 + 1];
+    EXPECT_TRUE(std::isinf(detail::filtered_det(tiny(a), tiny(b), tiny(c),
+                                                tiny(d)).bound))
+        << "draw " << i << " is not below the filter's scale";
+    EXPECT_EQ(orient2d(tiny(a), tiny(b), tiny(c)), want3) << "draw " << i;
+    EXPECT_EQ(orient2d(unit(a), unit(b), unit(c)), want3) << "draw " << i;
+    EXPECT_EQ(cross_diff_sign(tiny(a), tiny(b), tiny(c), tiny(d)), want4)
+        << "draw " << i;
+    EXPECT_EQ(cross_diff_sign(unit(a), unit(b), unit(c), unit(d)), want4)
+        << "draw " << i;
+    EXPECT_FALSE(orient2d_certified_negative(tiny(a), tiny(b), tiny(c)))
+        << "draw " << i;
+  }
+  for (const int count : signs) EXPECT_GT(count, 0);
 }
 
 TEST(BelowLine, Basics) {
