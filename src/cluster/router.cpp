@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,6 +27,28 @@ using ClockT = std::chrono::steady_clock;
 /// collide even under identical salts.
 constexpr std::uint64_t kRequestStream = 0x72657175657374ULL;
 constexpr std::uint64_t kSessionStream = 0x73657373696f6eULL;
+
+/// Largest integer a request field may carry: 2^53, the last integer a
+/// JSON number (a double) holds exactly. hullserved's decoder uses the
+/// same bound.
+constexpr double kMaxWireInteger = 9007199254740992.0;
+
+/// The integer field `key` of `j` into *out: `dflt` when absent, false
+/// unless it is an integer in [lo, hi]. Every integer the router reads
+/// from a request passes here before any cast, so no wire value (1e300,
+/// inf, nan, -5, 2.5) reaches an out-of-range conversion.
+bool integer_field(const Json& j, std::string_view key, double lo, double hi,
+                   std::uint64_t dflt, std::uint64_t* out) {
+  const Json* f = j.find(key);
+  if (f == nullptr) {
+    *out = dflt;
+    return true;
+  }
+  const double v = f->is_number() ? f->as_double() : std::nan("");
+  if (!(v >= lo && v <= hi) || v != std::floor(v)) return false;
+  *out = static_cast<std::uint64_t>(v);
+  return true;
+}
 
 double ms_since(ClockT::time_point t0) {
   return std::chrono::duration<double, std::milli>(ClockT::now() - t0)
@@ -328,9 +352,7 @@ std::string Router::Conn::handle_line(const std::string& line) {
   if (!version_ok(j)) {
     return make_error(reject::kVersion,
                       "request pins protocol version " +
-                          std::to_string(static_cast<long long>(
-                              j.get_num("v", 0))) +
-                          "; this router speaks " +
+                          j.find("v")->dump() + "; this router speaks " +
                           std::to_string(kProtocolVersion))
         .dump();
   }
@@ -345,16 +367,12 @@ std::string Router::Conn::handle_line(const std::string& line) {
     return r_.fleet_statz(j.get_str("format") == "prometheus").dump();
   }
   if (cmd == "tracez") {
-    std::size_t limit = 16;
+    std::uint64_t limit = 16;
     bool slowest = false;
-    const Json* l = j.find("limit");
-    if (l != nullptr) {
-      if (!l->is_number() || l->as_double() < 0) {
-        return make_error(reject::kBadRequest,
-                          "\"limit\" must be a non-negative number")
-            .dump();
-      }
-      limit = static_cast<std::size_t>(l->as_double());
+    if (!integer_field(j, "limit", 0, kMaxWireInteger, 16, &limit)) {
+      return make_error(reject::kBadRequest,
+                        "\"limit\" must be an integer in [0, 2^53]")
+          .dump();
     }
     const Json* o = j.find("order");
     if (o != nullptr) {
@@ -369,14 +387,15 @@ std::string Router::Conn::handle_line(const std::string& line) {
     return r_.fleet_tracez(limit, slowest).dump();
   }
   if (cmd == "markdown" || cmd == "markup") {
-    const Json* s = j.find("shard");
-    if (s == nullptr || !s->is_number() || s->as_double() < 0 ||
-        static_cast<std::size_t>(s->as_double()) >= r_.shard_count()) {
+    std::uint64_t shard = 0;
+    if (j.find("shard") == nullptr ||
+        !integer_field(j, "shard", 0,
+                       static_cast<double>(r_.shard_count()) - 1, 0,
+                       &shard)) {
       return make_error(reject::kBadRequest,
                         "\"shard\" must index a configured backend")
           .dump();
     }
-    const auto shard = static_cast<std::size_t>(s->as_double());
     if (cmd == "markdown") {
       r_.mark_down_admin(shard);
     } else {
@@ -399,7 +418,12 @@ std::string Router::Conn::handle_line(const std::string& line) {
 
 std::string Router::Conn::handle_request(const Json& j,
                                          const std::string& line) {
-  const auto id = static_cast<std::uint64_t>(j.get_num("id", 0));
+  std::uint64_t id = 0;
+  if (!integer_field(j, "id", 0, kMaxWireInteger, 0, &id)) {
+    return make_error(reject::kBadRequest,
+                      "\"id\" must be an integer in [0, 2^53]")
+        .dump();
+  }
   const std::uint64_t key =
       id != 0 ? support::mix3(r_.cfg_.seed, kRequestStream, id)
               : support::mix3(r_.cfg_.seed ^ kRequestStream, salt_, ++seq_);
@@ -534,13 +558,13 @@ std::string Router::Conn::handle_session_open(const std::string& line) {
 
 std::string Router::Conn::handle_session_cmd(const std::string& cmd,
                                              Json j) {
-  const Json* s = j.find("sid");
-  if (s == nullptr || !s->is_number() || s->as_double() < 1) {
+  std::uint64_t router_sid = 0;
+  if (j.find("sid") == nullptr ||
+      !integer_field(j, "sid", 1, kMaxWireInteger, 0, &router_sid)) {
     return make_error(reject::kBadRequest,
-                      "session command needs a positive \"sid\"")
+                      "session command needs a \"sid\" in [1, 2^53]")
         .dump();
   }
-  const auto router_sid = static_cast<std::uint64_t>(s->as_double());
   std::size_t shard = 0;
   std::uint64_t backend_sid = 0;
   enum { kRoute, kUnknown, kClosed, kDown } state = kRoute;

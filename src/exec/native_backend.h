@@ -15,9 +15,10 @@
 //      input points is strictly below the upper hull at its x: it is not
 //      a vertex, not a copy of one and not the top of a vertex's column,
 //      so no vertex index can change,
-//   2. lex_sort (exec/radix.h) of the survivors alone: radix-sort their
-//      (x-key, input index) pairs, gather them once into lex order, order
-//      each equal-x run by y — linear, not comparison-bound,
+//   2. lex_sort (exec/radix.h) of the survivors alone: one parallel
+//      distribution pass by x straight from the input into the sorted
+//      arrays, then each bucket finished on its own in cache (further
+//      digits, insertion-sorted leaves) — no key arrays, no gather,
 //   3. fork-join chunk scans: each pool slice monotone-scans its
 //      contiguous x-range of the sorted array into a chunk chain
 //      (pbbsbench-hull style leaf parallelism),
@@ -76,7 +77,7 @@ class NativeBackend final : public Backend {
   HullRun upper_hull(std::span<const geom::Point2> pts, std::uint64_t seed,
                      int alpha, bool edge_above) override;
 
-  /// Presorted fast path (backend.h): no prune, no sort and no gather —
+  /// Presorted fast path (backend.h): no prune and no sort —
   /// the chunked scan and the edge walk run over `pts` itself. Same
   /// edge_above, concurrency and determinism contracts as upper_hull.
   HullRun upper_hull_presorted(std::span<const geom::Point2> pts,

@@ -1,9 +1,11 @@
 #include "exec/radix.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstring>
-#include <numeric>
-#include <utility>
+#include <limits>
 
 namespace iph::exec {
 
@@ -11,199 +13,351 @@ namespace {
 
 using geom::Point2;
 
-constexpr std::size_t kBuckets = 256;
-constexpr std::size_t kDigits = 8;  // 8-bit digits of a u64 key
-/// Below this, parallel counting/scatter costs more than it saves.
-constexpr std::size_t kParCutoff = std::size_t{1} << 15;
-/// Slice grain for the parallel passes.
+/// Slice grain of the parallel top-level passes and of the bucket split.
 constexpr std::size_t kGrain = std::size_t{1} << 13;
-/// Equal-x runs up to this long are insertion-sorted by y.
-constexpr std::size_t kShortRun = 32;
+/// A distribution aims at buckets of about this many points: its fan-out
+/// is the bucket's size over this, rounded up to a power of two.
+constexpr std::size_t kAim = 2;
+/// Buckets up to this many points are distributed through the slice's
+/// scratch (copy out, scatter back); larger ones are permuted in place.
+constexpr std::size_t kScratchPoints = std::size_t{1} << 14;
+constexpr std::size_t kMaxFan = std::size_t{1} << kSortFanBits;
 
-using Hist = std::array<std::uint32_t, kBuckets>;
-
-std::size_t digit(std::uint64_t key, std::size_t d) noexcept {
-  return static_cast<std::size_t>((key >> (8 * d)) & 0xff);
-}
-
-/// Stable LSD radix sort of the keys key_of(0 .. n-1) carrying their
-/// positions: returns perm with key_of(perm[0]) <= key_of(perm[1]) <=
-/// ..., equal keys in position order. A digit that is the same in every
-/// key costs no pass (the AND and the OR of all keys agree there). With
-/// `carry`, position i is reported as carry[i] instead (the first pass
-/// writes it, so no later step maps positions back).
-template <class KeyOf>
-std::vector<std::uint32_t> sort_by_key(std::size_t n, const KeyOf& key_of,
-                                       const std::uint32_t* carry,
-                                       ThreadPool* pool) {
-  // Both key buffers in one block: once it is freed, the gather's point
-  // array (the same 16 bytes per point) fits exactly where it was.
-  std::vector<std::uint64_t> keys(2 * n);
-  std::uint64_t* key = keys.data();
-  std::uint64_t* key2 = key + n;
-  std::vector<std::array<std::uint64_t, 2>> and_or(
-      slice_count(pool, n, kGrain));
-  for_slices(pool, n, kGrain,
-             [&](std::size_t b, std::size_t e, std::size_t s) {
-               std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
-               for (std::size_t i = b; i < e; ++i) {
-                 key[i] = key_of(i);
-                 lo &= key[i];
-                 hi |= key[i];
-               }
-               and_or[s] = {lo, hi};
-             });
-  std::uint64_t all = ~std::uint64_t{0}, any = 0;
-  for (const auto& [lo, hi] : and_or) {
-    all &= lo;
-    any |= hi;
-  }
-  std::vector<std::size_t> passes;
-  for (std::size_t d = 0; d < kDigits; ++d) {
-    if (digit(all ^ any, d) != 0) passes.push_back(d);
-  }
-  std::vector<std::uint32_t> idx(n);
-  if (passes.empty()) {
-    if (carry != nullptr) {
-      std::copy(carry, carry + n, idx.begin());
-    } else {
-      std::iota(idx.begin(), idx.end(), 0u);
-    }
-    return idx;
-  }
-  std::vector<std::uint32_t> idx2(n);
-  std::vector<Hist> ofs(and_or.size());
-  for (std::size_t p = 0; p < passes.size(); ++p) {
-    const std::size_t d = passes[p];
-    const bool first = p == 0;
-    const bool last = p + 1 == passes.size();
-    for_slices(pool, n, kGrain,
-               [&](std::size_t b, std::size_t e, std::size_t s) {
-                 Hist h{};
-                 for (std::size_t i = b; i < e; ++i) ++h[digit(key[i], d)];
-                 ofs[s] = h;
-               });
-    // (digit, slice)-order prefix: each slice's stable scatter lands
-    // exactly where the sequential pass would put it.
-    std::uint32_t run = 0;
-    for (std::size_t c = 0; c < kBuckets; ++c) {
-      for (Hist& h : ofs) {
-        const std::uint32_t cnt = h[c];
-        h[c] = run;
-        run += cnt;
-      }
-    }
-    for_slices(pool, n, kGrain,
-               [&](std::size_t b, std::size_t e, std::size_t s) {
-                 Hist o = ofs[s];
-                 for (std::size_t i = b; i < e; ++i) {
-                   const std::uint64_t k = key[i];
-                   const std::uint32_t at = o[digit(k, d)]++;
-                   if (!last) key2[at] = k;
-                   idx2[at] = !first            ? idx[i]
-                              : carry != nullptr ? carry[i]
-                                                 : static_cast<std::uint32_t>(i);
-                 }
-               });
-    std::swap(key, key2);
-    idx.swap(idx2);
-  }
-  return idx;
-}
-
-/// Put one equal-x run p[0, len) / order[0, len), which arrives in index
-/// order, into (y-key, index) order.
-void order_run(Point2* p, std::uint32_t* order, std::size_t len) {
-  std::size_t i = 1;
-  while (i < len && double_key(p[i - 1].y) <= double_key(p[i].y)) ++i;
-  if (i >= len) return;  // already in y order: distinct x, or copies
-  if (len <= kShortRun) {
-    for (; i < len; ++i) {
-      const Point2 q = p[i];
-      const std::uint32_t o = order[i];
-      const std::uint64_t k = double_key(q.y);
-      std::size_t j = i;
-      for (; j > 0 && double_key(p[j - 1].y) > k; --j) {
-        p[j] = p[j - 1];
-        order[j] = order[j - 1];
-      }
-      p[j] = q;
-      order[j] = o;
-    }
-    return;
-  }
-  const std::vector<std::uint32_t> perm = sort_by_key(
-      len, [&](std::size_t k) { return double_key(p[k].y); }, nullptr,
-      nullptr);
-  const std::vector<Point2> pts(p, p + len);
-  const std::vector<std::uint32_t> ord(order, order + len);
-  for (std::size_t k = 0; k < len; ++k) {
-    p[k] = pts[perm[k]];
-    order[k] = ord[perm[k]];
-  }
-}
-
-}  // namespace
-
-std::uint64_t double_key(double d) noexcept {
-  // The magnitude taken up or down from the middle of the key range: a
-  // negative's key keeps its trailing zero bits (flipping every bit would
-  // set them), so those digits still cost no pass when signs are mixed.
-  // -0.0 and +0.0 both land on the middle.
+std::uint64_t key(double d) noexcept {
+  // The magnitude taken up or down from the middle of the key range, so
+  // -0.0 and +0.0 both land on the middle. Branch-free: on mixed signs
+  // the sign is a coin flip.
   constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
   std::uint64_t b;
   std::memcpy(&b, &d, sizeof b);
-  const std::uint64_t mag = b & ~kSign;
-  return (b & kSign) ? kSign - mag : kSign + mag;
+  const std::uint64_t neg = 0 - (b >> 63);  // all ones for a negative
+  return kSign + (((b & ~kSign) ^ neg) - neg);
 }
 
-namespace {
+/// The three parts of the sort key, most significant first: x-key,
+/// y-key, input index.
+enum Part { kX, kY, kIndex };
+
+std::uint64_t part_key(int part, const Point2& p,
+                       std::uint32_t index) noexcept {
+  switch (part) {
+    case kX:
+      return key(p.x);
+    case kY:
+      return key(p.y);
+    default:
+      return index;
+  }
+}
+
+/// log2 of the fan-out for a bucket of m points: about m / kAim buckets,
+/// at least 2, at most kMaxFan.
+unsigned fan_bits(std::size_t m) noexcept {
+  unsigned bits = 1;
+  while (bits < kSortFanBits && (m >> bits) > kAim) ++bits;
+  return bits;
+}
+
+/// AND and OR of one part's keys over a range: they differ exactly in the
+/// bits where some two keys differ.
+struct Spread {
+  std::uint64_t all = ~std::uint64_t{0};
+  std::uint64_t any = 0;
+
+  void take(std::uint64_t k) noexcept {
+    all &= k;
+    any |= k;
+  }
+  bool differs() const noexcept { return all != any; }
+};
+
+/// One distribution pass: fan buckets by bits [shift, shift + log2 fan)
+/// of one key part — the top bits in which the bucket's keys differ. A
+/// fan of 1 marks a bucket that is in order already.
+struct Digit {
+  int part = kX;
+  unsigned shift = 0;
+  std::size_t fan = 1;
+
+  std::size_t of(const Point2& p, std::uint32_t index) const noexcept {
+    return static_cast<std::size_t>(part_key(part, p, index) >> shift) &
+           (fan - 1);
+  }
+};
+
+/// The digit just below the top differing bit of `s`, for m points, no
+/// wider than the bits that differ.
+Digit top_digit(int part, const Spread& s, std::size_t m) {
+  const auto top =
+      static_cast<unsigned>(64 - std::countl_zero(s.all ^ s.any));
+  const unsigned bits = std::min(fan_bits(m), top);
+  return {part, top - bits, std::size_t{1} << bits};
+}
+
+/// The top pass's bucket of a point by its x value: the finite range
+/// [lo, hi] of the input's x's cut into `fan` equal slices. It is
+/// monotone in double_key order, so it never splits a tie: a finite x
+/// maps through rounded (hence monotone) arithmetic, -0.0 like +0.0;
+/// -inf and negative NaNs go first, +inf and positive NaNs last. Unlike
+/// a digit of the key, it splits a range spanning many binades evenly.
+struct Linear {
+  double lo = 0;
+  double scale = 0;
+  std::size_t fan = 1;
+
+  std::size_t of(double x) const noexcept {
+    const double t = (x - lo) * scale;
+    if (t >= 0) {
+      return t < static_cast<double>(fan) ? static_cast<std::size_t>(t)
+                                          : fan - 1;
+    }
+    return std::isnan(x) && !std::signbit(x) ? fan - 1 : 0;
+  }
+};
+
+/// The first part whose keys differ over p/o[0, m), m >= 2, and its top
+/// digit. The input indices are distinct, so some part differs; when it
+/// is the index, the copies of one point may be in index order already.
+Digit pick(const Point2* p, const std::uint32_t* o, std::size_t m) {
+  Spread s;
+  for (std::size_t i = 0; i < m; ++i) s.take(key(p[i].x));
+  if (s.differs()) return top_digit(kX, s, m);
+  s = Spread{};
+  for (std::size_t i = 0; i < m; ++i) s.take(key(p[i].y));
+  if (s.differs()) return top_digit(kY, s, m);
+  s = Spread{};
+  bool sorted = true;
+  for (std::size_t i = 0; i < m; ++i) {
+    s.take(o[i]);
+    sorted &= i == 0 || o[i - 1] < o[i];
+  }
+  return sorted || !s.differs() ? Digit{kIndex, 0, 1}
+                                 : top_digit(kIndex, s, m);
+}
+
+/// (x-key, y-key, index) order of (a, ai) before (b, bi).
+bool key_less(const Point2& a, std::uint32_t ai, const Point2& b,
+              std::uint32_t bi) noexcept {
+  const std::uint64_t ax = key(a.x);
+  const std::uint64_t bx = key(b.x);
+  if (ax != bx) return ax < bx;
+  const std::uint64_t ay = key(a.y);
+  const std::uint64_t by = key(b.y);
+  if (ay != by) return ay < by;
+  return ai < bi;
+}
+
+/// Insertion sort of the leaf p/o[0, m), m <= kSortLeaf.
+void leaf_sort(Point2* p, std::uint32_t* o, std::size_t m) {
+  for (std::size_t i = 1; i < m; ++i) {
+    const Point2 v = p[i];
+    const std::uint32_t vi = o[i];
+    std::size_t j = i;
+    for (; j > 0 && key_less(v, vi, p[j - 1], o[j - 1]); --j) {
+      p[j] = p[j - 1];
+      o[j] = o[j - 1];
+    }
+    p[j] = v;
+    o[j] = vi;
+  }
+}
+
+/// A slice's reused scratch: one entry per point of a bucket being
+/// distributed out of place, with its digit.
+struct Item {
+  Point2 p;
+  std::uint32_t index;
+  std::uint32_t digit;
+};
+
+/// Bucket starts of a distribution pass; entry fan is the bucket's size.
+using Starts = std::array<std::uint32_t, kMaxFan + 1>;
+
+/// Counts at[0, fan) to starts at[0, fan], in place; returns a copy of
+/// the starts to advance as write heads.
+Starts counts_to_starts(Starts& at, std::size_t fan) {
+  std::uint32_t run = 0;
+  for (std::size_t k = 0; k < fan; ++k) {
+    const std::uint32_t c = at[k];
+    at[k] = run;
+    run += c;
+  }
+  at[fan] = run;
+  Starts head;
+  std::copy_n(at.begin(), fan, head.begin());
+  return head;
+}
+
+/// Distributes p/o[0, m) by digit d through `scratch` (m entries): copy
+/// out with each digit, scatter back.
+void distribute_copy(Point2* p, std::uint32_t* o, std::size_t m,
+                     const Digit& d, Item* scratch, Starts& at) {
+  std::fill_n(at.begin(), d.fan, 0u);
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto k = static_cast<std::uint32_t>(d.of(p[i], o[i]));
+    scratch[i] = {p[i], o[i], k};
+    ++at[k];
+  }
+  Starts head = counts_to_starts(at, d.fan);
+  for (std::size_t i = 0; i < m; ++i) {
+    const Item& it = scratch[i];
+    const std::uint32_t to = head[it.digit]++;
+    p[to] = it.p;
+    o[to] = it.index;
+  }
+}
+
+/// Distributes p/o[0, m) by digit d in place ("American flag"): each
+/// point is swapped straight into the next free slot of its bucket.
+void distribute_in_place(Point2* p, std::uint32_t* o, std::size_t m,
+                         const Digit& d, Starts& at) {
+  std::fill_n(at.begin(), d.fan, 0u);
+  for (std::size_t i = 0; i < m; ++i) ++at[d.of(p[i], o[i])];
+  Starts head = counts_to_starts(at, d.fan);
+  for (std::size_t k = 0; k < d.fan; ++k) {
+    while (head[k] < at[k + 1]) {
+      Point2 v = p[head[k]];
+      std::uint32_t vi = o[head[k]];
+      for (std::size_t dk = d.of(v, vi); dk != k; dk = d.of(v, vi)) {
+        const std::uint32_t to = head[dk]++;
+        std::swap(v, p[to]);
+        std::swap(vi, o[to]);
+      }
+      p[head[k]] = v;
+      o[head[k]] = vi;
+      ++head[k];
+    }
+  }
+}
+
+/// Sorts bucket p/o[0, m) by (x-key, y-key, index) in cache: a leaf is
+/// insertion-sorted, a larger bucket distributed by its own top
+/// differing digit, then each part sorted in turn.
+void sort_bucket(Point2* p, std::uint32_t* o, std::size_t m, Item* scratch) {
+  if (m <= kSortLeaf) {
+    leaf_sort(p, o, m);
+    return;
+  }
+  const Digit d = pick(p, o, m);
+  if (d.fan == 1) return;
+  Starts at;
+  if (m <= kScratchPoints) {
+    distribute_copy(p, o, m, d, scratch, at);
+  } else {
+    distribute_in_place(p, o, m, d, at);
+  }
+  for (std::size_t k = 0; k < d.fan; ++k) {
+    const std::size_t len = at[k + 1] - at[k];
+    if (len > 1) sort_bucket(p + at[k], o + at[k], len, scratch);
+  }
+}
 
 /// lex_sort of pts[sel[0 .. n)], or of all of pts when sel is null.
 LexSorted lex_sort_of(std::span<const Point2> pts, const std::uint32_t* sel,
                       std::size_t n, ThreadPool* pool) {
-  if (pool != nullptr && n < kParCutoff) pool = nullptr;
-  const std::size_t slices = slice_count(pool, n, kGrain);
   LexSorted out;
-  out.order = sel != nullptr
-                  ? sort_by_key(
-                        n,
-                        [&](std::size_t i) { return double_key(pts[sel[i]].x); },
-                        sel, pool)
-                  : sort_by_key(
-                        n, [&](std::size_t i) { return double_key(pts[i].x); },
-                        nullptr, pool);
-  // Steps 2 and 3. A slice owns the runs that start in it, however far
-  // they reach, so no two slices touch one run; where each slice's first
-  // run starts is found read-only before anything moves.
-  std::uint32_t* order = out.order.data();
-  auto xkey = [&](std::size_t i) { return double_key(pts[order[i]].x); };
-  std::vector<std::size_t> start(slices + 1, n);
-  for_slices(pool, n, kGrain, [&](std::size_t b, std::size_t, std::size_t s) {
-    while (b > 0 && b < n && xkey(b) == xkey(b - 1)) ++b;
-    start[s] = b;
-  });
+  out.order.resize(n);
   out.points.resize(n);
   Point2* p = out.points.data();
-  for_slices(pool, n, kGrain, [&](std::size_t, std::size_t, std::size_t s) {
-    const std::size_t end = start[s + 1];
-    for (std::size_t i = start[s]; i < end;) {
-      p[i] = pts[order[i]];
-      const std::uint64_t k = double_key(p[i].x);
-      std::size_t j = i + 1;
-      for (; j < end; ++j) {
-        const Point2 q = pts[order[j]];
-        if (double_key(q.x) != k) break;
-        p[j] = q;
+  std::uint32_t* o = out.order.data();
+  auto index = [&](std::size_t i) {
+    return sel != nullptr ? sel[i] : static_cast<std::uint32_t>(i);
+  };
+  if (n <= kSortLeaf) {
+    for (std::size_t i = 0; i < n; ++i) {
+      o[i] = index(i);
+      p[i] = pts[o[i]];
+    }
+    leaf_sort(p, o, n);
+    return out;
+  }
+  if (n < kSortParCutoff) pool = nullptr;
+  const std::size_t slices = slice_count(pool, n, kGrain);
+
+  // The finite range of x.
+  std::vector<std::array<double, 2>> ranges(slices);
+  for_slices(pool, n, kGrain, [&](std::size_t b, std::size_t e, std::size_t s) {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -lo;
+    for (std::size_t i = b; i < e; ++i) {
+      const double x = pts[index(i)].x;
+      if (std::isfinite(x)) {
+        lo = std::min(lo, x);
+        hi = std::max(hi, x);
       }
-      if (j - i > 1) order_run(p + i, order + i, j - i);
-      i = j;
+    }
+    ranges[s] = {lo, hi};
+  });
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (const auto& [l, h] : ranges) {
+    lo = std::min(lo, l);
+    hi = std::max(hi, h);
+  }
+
+  // One distribution pass from the input straight into the output, by
+  // x's slice of that range: per-slice bucket counts, a (bucket,
+  // slice)-order prefix, and a stable per-slice scatter of each point
+  // and its input index. Without such a range (one x, or a width that
+  // overflows) the pass is a plain copy and the copy one bucket.
+  Linear lin{lo, 0, std::size_t{1} << fan_bits(n)};
+  lin.scale = static_cast<double>(lin.fan) / (hi - lo);
+  if (!(lo < hi && lin.scale > 0 && std::isfinite(lin.scale))) {
+    lin = Linear{0, 0, 1};
+  }
+  const std::size_t fan = lin.fan;
+  std::vector<std::uint32_t> cnt(slices * fan, 0);
+  for_slices(pool, n, kGrain, [&](std::size_t b, std::size_t e, std::size_t s) {
+    std::uint32_t* c = cnt.data() + s * fan;
+    for (std::size_t i = b; i < e; ++i) ++c[lin.of(pts[index(i)].x)];
+  });
+  std::vector<std::uint32_t> at(fan + 1);
+  std::uint32_t run = 0;
+  for (std::size_t k = 0; k < fan; ++k) {
+    at[k] = run;
+    for (std::size_t s = 0; s < slices; ++s) {
+      const std::uint32_t c = cnt[s * fan + k];
+      cnt[s * fan + k] = run;
+      run += c;
+    }
+  }
+  at[fan] = run;
+  for_slices(pool, n, kGrain, [&](std::size_t b, std::size_t e, std::size_t s) {
+    std::uint32_t* head = cnt.data() + s * fan;
+    for (std::size_t i = b; i < e; ++i) {
+      const std::uint32_t in = index(i);
+      const std::uint32_t to = head[lin.of(pts[in].x)]++;
+      p[to] = pts[in];
+      o[to] = in;
+    }
+  });
+
+  // Each bucket finishes on its own. A slice owns the buckets that start
+  // in it, however far they reach, and sizes its scratch once for the
+  // largest of them.
+  for_slices(pool, n, kGrain, [&](std::size_t b, std::size_t e, std::size_t) {
+    auto owned = [&](std::size_t k) { return at[k] >= b && at[k] < e; };
+    std::size_t need = 0;
+    for (std::size_t k = 0; k < fan; ++k) {
+      const std::size_t len = at[k + 1] - at[k];
+      if (owned(k) && len > kSortLeaf) {
+        need = std::max(need, std::min(len, kScratchPoints));
+      }
+    }
+    std::vector<Item> scratch(need);
+    for (std::size_t k = 0; k < fan; ++k) {
+      const std::size_t len = at[k + 1] - at[k];
+      if (owned(k) && len > 1) {
+        sort_bucket(p + at[k], o + at[k], len, scratch.data());
+      }
     }
   });
   return out;
 }
 
 }  // namespace
+
+std::uint64_t double_key(double d) noexcept { return key(d); }
 
 LexSorted lex_sort(std::span<const Point2> pts, ThreadPool* pool) {
   return lex_sort_of(pts, nullptr, pts.size(), pool);

@@ -18,14 +18,18 @@ class LineChannel {
   explicit LineChannel(int in_fd, int out_fd) : in_(in_fd), out_(out_fd) {}
 
   /// Next '\n'-terminated line (terminator stripped). At EOF a final
-  /// unterminated line is yielded once. False on EOF/error.
+  /// unterminated line is yielded once. False on EOF/error. Each byte is
+  /// searched once: a scan resumes where the last one stopped, so a line
+  /// that arrives over many reads costs time linear in its length.
   bool read_line(std::string* line) {
     for (;;) {
-      if (const auto nl = buf_.find('\n'); nl != std::string::npos) {
+      if (const auto nl = buf_.find('\n', scanned_); nl != std::string::npos) {
         line->assign(buf_, 0, nl);
         buf_.erase(0, nl + 1);
+        scanned_ = 0;
         return true;
       }
+      scanned_ = buf_.size();
       char chunk[4096];
       ssize_t got;
       do {
@@ -35,6 +39,7 @@ class LineChannel {
         if (buf_.empty()) return false;
         line->swap(buf_);
         buf_.clear();
+        scanned_ = 0;
         return true;
       }
       buf_.append(chunk, static_cast<std::size_t>(got));
@@ -61,6 +66,8 @@ class LineChannel {
   int in_;
   int out_;
   std::string buf_;
+  /// buf_[0, scanned_) holds no '\n'.
+  std::size_t scanned_ = 0;
 };
 
 }  // namespace iph::support

@@ -672,6 +672,69 @@ TEST(Router, WireProtocolAdminDrainRejectsAndVersionGate) {
   EXPECT_EQ(s.counter_or0(statnames::kRingRebuilds), 3u);
 }
 
+TEST(Router, OutOfRangeIntegerFieldsAreBadRequestsAndNeverForwarded) {
+  // Every integer the router itself reads (request id, session sid,
+  // admin shard, tracez limit) is range-checked before any cast: huge,
+  // infinite, negative, fractional or non-numeric values answer
+  // bad_request, reach no backend, and leave the connection usable.
+  auto fleet = make_fleet(2);
+  Router router(fleet_config(fleet, /*retries=*/1, /*probe_ms=*/0));
+  Router::Conn conn(router);
+  const char* bad[] = {
+      R"({"id":1e300,"n":16})",
+      R"({"id":1e400,"n":16})",
+      R"({"id":-1e400,"n":16})",
+      R"({"id":-5,"n":16})",
+      R"({"id":2.5,"n":16})",
+      R"({"id":1e16,"n":16})",
+      R"({"id":"7","n":16})",
+      R"({"cmd":"session_append","sid":0,"points":[[0,0]]})",
+      R"({"cmd":"session_append","sid":-5,"points":[[0,0]]})",
+      R"({"cmd":"session_append","sid":1.5,"points":[[0,0]]})",
+      R"({"cmd":"session_close","sid":1e300})",
+      R"({"cmd":"session_close","sid":1e400})",
+      R"({"cmd":"session_close","sid":1e16})",
+      R"({"cmd":"session_close"})",
+      R"({"cmd":"markdown","shard":-1})",
+      R"({"cmd":"markdown","shard":0.5})",
+      R"({"cmd":"markdown","shard":2})",
+      R"({"cmd":"markup","shard":1e300})",
+      R"({"cmd":"markup","shard":1e400})",
+      R"({"cmd":"markdown"})",
+      R"({"cmd":"tracez","limit":-5})",
+      R"({"cmd":"tracez","limit":2.5})",
+      R"({"cmd":"tracez","limit":1e300})",
+      R"({"cmd":"tracez","limit":1e400})",
+  };
+  for (const char* line : bad) {
+    Json reply;
+    std::string err;
+    ASSERT_TRUE(Json::parse(conn.handle_line(line), &reply, &err))
+        << line << ": " << err;
+    EXPECT_EQ(reply.get_str("reject"), reject::kBadRequest) << line;
+  }
+  // A version too new to speak is a version reject, however large.
+  for (const char* line : {R"({"v":1e300,"n":16})", R"({"v":1e400,"n":16})"}) {
+    Json reply;
+    std::string err;
+    ASSERT_TRUE(Json::parse(conn.handle_line(line), &reply, &err)) << line;
+    EXPECT_EQ(reply.get_str("reject"), reject::kVersion) << line;
+  }
+  const stats::RegistrySnapshot s = router.registry().snapshot();
+  EXPECT_EQ(s.counter_or0(statnames::kForwards), 0u);
+  EXPECT_EQ(s.counter_or0(stats::labeled(statnames::kMarkdownsBase, "cause",
+                                         "admin")),
+            0u);
+  for (const auto& f : fleet) EXPECT_EQ(f->submitted(), 0u);
+  EXPECT_TRUE(router.shard_up(0));
+  EXPECT_TRUE(router.shard_up(1));
+
+  const Json ok = send(conn, request_line(3));
+  EXPECT_EQ(ok.get_str("status"), "ok");
+  EXPECT_EQ(router.registry().snapshot().counter_or0(statnames::kForwards),
+            1u);
+}
+
 TEST(Router, FleetStatzMergesLiveBackendsAndFallsBackToCache) {
   auto fleet = make_fleet(2);
   Router router(fleet_config(fleet, /*retries=*/2, /*probe_ms=*/0));

@@ -52,6 +52,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -518,6 +519,135 @@ TEST(ExecDiff, LexSortOfSubsetCarriesInputIndices) {
         ASSERT_EQ(got.points.size(), want.size()) << label;
         for (std::size_t i = 0; i < want.size(); ++i) {
           ASSERT_TRUE(got.points[i] == pts[want[i]]) << label << " point " << i;
+        }
+      }
+    }
+  }
+}
+
+/// The inputs that stress the presort's shape at size n: its leaf and
+/// fan-out rules, its top-level bucket map, and every way double_key
+/// orders apart from plain comparison.
+std::vector<std::pair<std::string, std::vector<geom::Point2>>> presort_inputs(
+    std::size_t n, std::uint64_t seed) {
+  support::Rng rng(seed, /*stream=*/0x707273ULL);  // "prs"
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto below = [&](std::uint64_t k) { return rng.next_u64() % k; };
+  // y from a small set, so equal x come with equal y too.
+  auto y_tie = [&] { return static_cast<double>(below(16)) * 0.5 - 4.0; };
+  auto make = [&](auto&& point) {
+    std::vector<geom::Point2> pts;
+    pts.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) pts.push_back(point(i));
+    return pts;
+  };
+  std::vector<std::pair<std::string, std::vector<geom::Point2>>> out;
+  out.emplace_back("x = 1 + k ulp", make([&](std::size_t) {
+                     return geom::Point2{1.0 + static_cast<double>(below(64)) *
+                                                   0x1p-52,
+                                         y_tie()};
+                   }));
+  out.emplace_back("x = +-2^-k into the subnormals", make([&](std::size_t) {
+                     const int k = static_cast<int>(below(1075));
+                     const double m = std::ldexp(1.0, -k);
+                     return geom::Point2{below(2) ? -m : m, y_tie()};
+                   }));
+  // All but one point in the lowest of the top level's x slices.
+  std::vector<geom::Point2> one_bucket = make([&](std::size_t) {
+    return geom::Point2{std::ldexp(rng.next_double(), -40), y_tie()};
+  });
+  if (n > 0) one_bucket[below(n)].x = 1.0;
+  out.emplace_back("one top-level bucket", one_bucket);
+  out.emplace_back("one column", make([&](std::size_t) {
+                     return geom::Point2{3.0, 100.0 * rng.next_double() - 50.0};
+                   }));
+  out.emplace_back("two columns", make([&](std::size_t) {
+                     return geom::Point2{below(2) ? -1.0 : 2.0,
+                                         below(2) ? y_tie()
+                                                  : rng.next_double()};
+                   }));
+  out.emplace_back("all equal", make([&](std::size_t) {
+                     return geom::Point2{1.5, -2.0};
+                   }));
+  const double zeros[] = {0.0, -0.0, 0.0, -0.0, 1.0, -1.0};
+  out.emplace_back("+-0 in x and y", make([&](std::size_t) {
+                     return geom::Point2{zeros[below(6)], zeros[below(6)]};
+                   }));
+  const double odd[] = {inf, -inf, nan, std::copysign(nan, -1.0), 0.0, -0.0};
+  out.emplace_back("+-inf and nan", make([&](std::size_t) {
+                     auto pick = [&] {
+                       return below(2) ? odd[below(6)]
+                                       : rng.next_double() - 0.5;
+                     };
+                     return geom::Point2{pick(), pick()};
+                   }));
+  out.emplace_back("x range overflows", make([&](std::size_t) {
+                     const double x = below(4) == 0   ? -1e308
+                                      : below(3) == 0 ? 1e308
+                                                      : rng.next_double();
+                     return geom::Point2{x, y_tie()};
+                   }));
+  return out;
+}
+
+/// Bitwise equality: tells -0.0 from +0.0 and compares NaNs.
+bool same_bits(const geom::Point2& a, const geom::Point2& b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(ExecDiff, PresortAdversarialInputs) {
+  // Each input at the leaf size -1, at it and +1, and at the parallel
+  // cutoff -1, at it and +1, through both lex_sort overloads at pool
+  // widths 1-4 and inline, against a stable sort by lex_less — or, where
+  // NaNs make lex_less no order, by the (x-key, y-key) order double_key
+  // defines. Points must come back bit for bit.
+  const std::size_t sizes[] = {kSortLeaf - 1,      kSortLeaf,
+                               kSortLeaf + 1,      kSortParCutoff - 1,
+                               kSortParCutoff,     kSortParCutoff + 1};
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (unsigned w = 1; w <= 4; ++w) {
+    pools.push_back(std::make_unique<ThreadPool>(w));
+  }
+  support::Rng rng(9, /*stream=*/0x73656cULL);  // "sel"
+  for (const std::size_t n : sizes) {
+    for (const auto& [name, pts] : presort_inputs(n, n)) {
+      const bool nan = std::any_of(pts.begin(), pts.end(), [](const auto& q) {
+        return std::isnan(q.x) || std::isnan(q.y);
+      });
+      auto before = [&](std::uint32_t a, std::uint32_t b) {
+        if (!nan) return geom::lex_less(pts[a], pts[b]);
+        const auto ka = std::pair(double_key(pts[a].x), double_key(pts[a].y));
+        const auto kb = std::pair(double_key(pts[b].x), double_key(pts[b].y));
+        return ka < kb;
+      };
+      std::vector<std::uint32_t> all(pts.size());
+      std::iota(all.begin(), all.end(), 0u);
+      std::vector<std::uint32_t> half;
+      for (const std::uint32_t i : all) {
+        if (rng.next_u64() % 2 == 0) half.push_back(i);
+      }
+      for (const std::vector<std::uint32_t>* sel : {&all, &half}) {
+        std::vector<std::uint32_t> want = *sel;
+        std::stable_sort(want.begin(), want.end(), before);
+        std::vector<ThreadPool*> widths = {nullptr};
+        for (const auto& pool : pools) widths.push_back(pool.get());
+        for (ThreadPool* p : widths) {
+          const std::string label =
+              name + " n=" + std::to_string(n) +
+              (sel == &all ? " all" : " subset") + " width " +
+              std::to_string(p != nullptr ? p->threads() : 0);
+          std::vector<LexSorted> got;
+          got.push_back(lex_sort(pts, *sel, p));
+          if (sel == &all) got.push_back(lex_sort(pts, p));
+          for (const LexSorted& g : got) {
+            ASSERT_EQ(g.order, want) << label;
+            ASSERT_EQ(g.points.size(), want.size()) << label;
+            for (std::size_t i = 0; i < want.size(); ++i) {
+              ASSERT_TRUE(same_bits(g.points[i], pts[want[i]]))
+                  << label << " point " << i;
+            }
+          }
         }
       }
     }

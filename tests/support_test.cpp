@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "support/linechan.h"
 #include "support/mathutil.h"
 #include "support/rng.h"
 
@@ -168,6 +172,51 @@ TEST(Mix3, AvalancheOnCounter) {
   }
   EXPECT_GT(total, 64 * 20);
   EXPECT_LT(total, 64 * 44);
+}
+
+/// Writes all of `s` to fd in pieces of the given sizes, cycling.
+void write_in_pieces(int fd, const std::string& s,
+                     const std::vector<std::size_t>& sizes) {
+  std::size_t off = 0;
+  for (std::size_t k = 0; off < s.size(); ++k) {
+    const std::size_t len = std::min(sizes[k % sizes.size()], s.size() - off);
+    ASSERT_EQ(::write(fd, s.data() + off, len), static_cast<ssize_t>(len));
+    off += len;
+  }
+}
+
+TEST(LineChannel, LinesComeBackByteExactWhateverTheReads) {
+  // A long line arrives over many reads (every byte value but '\n' in
+  // it); several short lines and an empty one arrive in one read; the
+  // last line has no terminator.
+  std::string longline;
+  for (std::size_t i = 0; longline.size() < 300000; ++i) {
+    const auto c = static_cast<char>((i * 131) % 256);
+    if (c != '\n') longline.push_back(c);
+  }
+  const std::vector<std::string> want = {"first", "second", "", "third",
+                                         longline, "x", "", "y"};
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::thread writer([&] {
+    const std::string head = "first\nsecond\n\nthird\n";
+    EXPECT_EQ(::write(fds[1], head.data(), head.size()),
+              static_cast<ssize_t>(head.size()));
+    write_in_pieces(fds[1], longline + "\n", {1, 7, 4095, 4096, 5000, 3});
+    write_in_pieces(fds[1], "x\n\ny", {5});
+    ::close(fds[1]);
+  });
+  LineChannel ch(fds[0], -1);
+  std::vector<std::string> got;
+  std::string line;
+  while (ch.read_line(&line)) got.push_back(line);
+  writer.join();
+  ::close(fds[0]);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(got[i] == want[i]) << "line " << i << ": " << got[i].size()
+                                   << " bytes, want " << want[i].size();
+  }
 }
 
 }  // namespace

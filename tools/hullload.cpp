@@ -28,10 +28,12 @@
 // must reconcile EXACTLY (the run must be the server's only traffic),
 // including the backend-labeled served counters (pram + native ==
 // completed; with --backend pinned, that engine's counter == ok) and
-// the batch sizes (iph_serve_batch_size sum == completed), and
-// server-side ok-e2e p99 must be within --scrape-tol (a ratio;
+// the batch sizes (iph_serve_batch_size sum == completed), and the
+// server-side ok-e2e median must be within --scrape-tol (a ratio;
 // default 8, floored at 0.05 ms to ignore sub-bucket noise; 0 disables)
-// of the client-observed p99. Violations print loudly and exit 1.
+// of the client-observed median. Medians, not p99s: a smoke run has a
+// few dozen samples, whose p99 is their maximum, so one stalled client
+// thread would decide it. Violations print loudly and exit 1.
 // --scrape-out FILE writes the diffed snapshot as iph-stats-v1 JSON
 // plus a "served_backend" key ("pram" | "native" | "mixed") naming the
 // engine(s) that absorbed the run (the CI serve-smoke job uploads it
@@ -135,7 +137,7 @@ struct Options {
   bool expect_all_ok = false;
   bool json = false;
   bool scrape = false;
-  double scrape_tol = 8.0;   // p99 ratio tolerance; 0 disables
+  double scrape_tol = 8.0;   // median ratio tolerance; 0 disables
   std::string scrape_out;    // write diffed snapshot JSON here
   ServiceConfig cfg;  // in-process service shape
   /// Streaming-session mode: one session per client, --requests
@@ -576,8 +578,8 @@ bool scrape_targets(const std::vector<std::string>& targets,
 
 /// Cross-check the server-side snapshot diff against the client tally
 /// and print the side-by-side summary. Returns false (after printing
-/// why) when the accounting does not reconcile or p99s diverge beyond
-/// `tol`. `server_p99` is left with the server-side ok-e2e p99;
+/// why) when the accounting does not reconcile or the medians diverge
+/// beyond `tol`. `server_p99` is left with the server-side ok-e2e p99;
 /// `served_backend` with which engine(s) absorbed the run's completed
 /// requests per the backend-labeled counters ("pram", "native" or
 /// "mixed"). When `want` names an engine, that engine's counter must
@@ -585,7 +587,7 @@ bool scrape_targets(const std::vector<std::string>& targets,
 /// equal completed (every completed request was served by exactly one
 /// engine), and so must the summed batch sizes.
 bool check_scrape(const iph::stats::RegistrySnapshot& d, const Tally& total,
-                  double client_p99, double tol,
+                  double client_p50, double tol,
                   iph::exec::BackendKind want, double* server_p99,
                   std::string* served_backend) {
   namespace sn = iph::serve::statnames;
@@ -602,6 +604,7 @@ bool check_scrape(const iph::stats::RegistrySnapshot& d, const Tally& total,
       iph::stats::labeled(sn::kBackendBase, "backend", "native"));
   const iph::stats::HistogramSnapshot* e2e = d.histogram(sn::kE2eMs);
   *server_p99 = e2e != nullptr ? e2e->quantile(0.99) : 0.0;
+  const double server_p50 = e2e != nullptr ? e2e->quantile(0.50) : 0.0;
   *served_backend = srv_bk_native > 0
                         ? (srv_bk_pram > 0 ? "mixed" : "native")
                         : "pram";
@@ -630,8 +633,9 @@ bool check_scrape(const iph::stats::RegistrySnapshot& d, const Tally& total,
                static_cast<unsigned long long>(srv_bk_pram),
                static_cast<unsigned long long>(srv_bk_native));
   std::fprintf(stderr,
-               "hullload scrape: e2e p99 server %.3f ms vs client %.3f ms\n",
-               *server_p99, client_p99);
+               "hullload scrape: e2e p50 server %.3f ms vs client %.3f ms "
+               "(server p99 %.3f ms)\n",
+               server_p50, client_p50, *server_p99);
   if (forwards != nullptr) {
     std::fprintf(stderr,
                  "hullload scrape: router forwards %llu  retries full %llu "
@@ -724,13 +728,13 @@ bool check_scrape(const iph::stats::RegistrySnapshot& d, const Tally& total,
   }
 
   if (tol > 0 && total.ok > 0 && e2e != nullptr && e2e->count > 0) {
-    const double lo = std::max(std::min(*server_p99, client_p99), 0.05);
-    const double ratio = std::max(*server_p99, client_p99) / lo;
+    const double lo = std::max(std::min(server_p50, client_p50), 0.05);
+    const double ratio = std::max(server_p50, client_p50) / lo;
     if (ratio > tol) {
       std::fprintf(stderr,
-                   "hullload scrape: P99 DIVERGENCE: server %.3f ms vs "
+                   "hullload scrape: MEDIAN DIVERGENCE: server %.3f ms vs "
                    "client %.3f ms (ratio %.2f > tol %.2f)\n",
-                   *server_p99, client_p99, ratio, tol);
+                   server_p50, client_p50, ratio, tol);
       ok = false;
     }
   }
@@ -744,7 +748,7 @@ bool check_scrape(const iph::stats::RegistrySnapshot& d, const Tally& total,
 /// the "everything closed, all cells released" check).
 bool check_scrape_stream(const iph::stats::RegistrySnapshot& d,
                          const Tally& total, const Options& opt,
-                         double client_p99, double* server_p99) {
+                         double client_p50, double* server_p99) {
   namespace ssn = iph::session::statnames;
   const std::uint64_t opened = d.counter_or0(ssn::kOpened);
   const std::uint64_t closed = d.counter_or0(ssn::kClosed);
@@ -769,6 +773,8 @@ bool check_scrape_stream(const iph::stats::RegistrySnapshot& d,
   const std::int64_t* live = d.gauge(ssn::kLiveSessions);
   const std::int64_t* aux = d.gauge(ssn::kAuxCells);
   *server_p99 = append_ms != nullptr ? append_ms->quantile(0.99) : 0.0;
+  const double server_p50 =
+      append_ms != nullptr ? append_ms->quantile(0.50) : 0.0;
 
   std::fprintf(stderr,
                "hullload scrape: sessions opened %llu closed %llu  "
@@ -784,9 +790,9 @@ bool check_scrape_stream(const iph::stats::RegistrySnapshot& d,
                static_cast<unsigned long long>(mismatches),
                static_cast<unsigned long long>(rejects));
   std::fprintf(stderr,
-               "hullload scrape: append p99 server %.3f ms vs client "
-               "%.3f ms\n",
-               *server_p99, client_p99);
+               "hullload scrape: append p50 server %.3f ms vs client "
+               "%.3f ms (server p99 %.3f ms)\n",
+               server_p50, client_p50, *server_p99);
 
   bool ok = true;
   auto must_equal = [&](const char* what, std::uint64_t server,
@@ -848,13 +854,13 @@ bool check_scrape_stream(const iph::stats::RegistrySnapshot& d,
 
   if (opt.scrape_tol > 0 && total.ok > 0 && append_ms != nullptr &&
       append_ms->count > 0) {
-    const double lo = std::max(std::min(*server_p99, client_p99), 0.05);
-    const double ratio = std::max(*server_p99, client_p99) / lo;
+    const double lo = std::max(std::min(server_p50, client_p50), 0.05);
+    const double ratio = std::max(server_p50, client_p50) / lo;
     if (ratio > opt.scrape_tol) {
       std::fprintf(stderr,
-                   "hullload scrape: P99 DIVERGENCE: server %.3f ms vs "
+                   "hullload scrape: MEDIAN DIVERGENCE: server %.3f ms vs "
                    "client %.3f ms (ratio %.2f > tol %.2f)\n",
-                   *server_p99, client_p99, ratio, opt.scrape_tol);
+                   server_p50, client_p50, ratio, opt.scrape_tol);
       ok = false;
     }
   }
@@ -1220,9 +1226,9 @@ int main(int argc, char** argv) {
       d = after.diff(scrape_before);
     }
     if (opt.stream) {
-      scrape_failed = !check_scrape_stream(d, total, opt, p99, &server_p99);
+      scrape_failed = !check_scrape_stream(d, total, opt, p50, &server_p99);
     } else {
-      scrape_failed = !check_scrape(d, total, p99, opt.scrape_tol,
+      scrape_failed = !check_scrape(d, total, p50, opt.scrape_tol,
                                     opt.backend, &server_p99,
                                     &served_backend);
     }

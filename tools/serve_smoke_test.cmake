@@ -535,8 +535,8 @@ endif()
 
 # Streaming sessions through the router: affinity pins each session,
 # sids are router-minted, and the fleet scrape still reconciles the
-# session identities exactly. Tail latency via two hops is not a
-# protocol property — disable the p99 sanity ratio, keep exactness.
+# session identities exactly. Latency via two hops is not a protocol
+# property — disable the median sanity ratio, keep exactness.
 execute_process(
   COMMAND "${HULLLOAD}" --stream --connect "127.0.0.1:${ROUTER_PORT}"
           --clients 2 --requests 6 --append-points 8 --n 64
