@@ -1,5 +1,9 @@
-// Protocol-level constants shared by the backend server (hullserved,
-// via tools/serve_wire.h) and the cluster router (src/cluster).
+// The NDJSON line protocol's envelope, decoded in one place for the
+// backend server (hullserved) and the cluster router: decode_envelope()
+// checks every field a front end reads itself, and a refused line is
+// answered make_error(reject, error), the same bytes from either. The
+// rest of a line (points, n, ...) is the backend's to decode
+// (tools/serve_wire.h), through the same number_field.
 //
 // Versioning: every response line carries {"v": 1}. Requests MAY carry
 // "v"; an absent "v" means "any version" (pre-versioning peers keep
@@ -12,7 +16,7 @@
 // which must decide whether a failure is retryable) can distinguish an
 // unknown command or a cross-version peer from a genuinely malformed
 // line without parsing prose:
-//   bad_json      the line was not a JSON object
+//   bad_json      the line was not JSON
 //   bad_request   well-formed JSON, but not a valid request/command
 //   unknown_cmd   {"cmd": ...} named a command this server lacks
 //   version       the request's "v" exceeds kProtocolVersion
@@ -22,7 +26,10 @@
 //   retry_budget  (router) retries/deadline exhausted without an answer
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "trace/json.h"
 
@@ -39,6 +46,12 @@ inline constexpr const char* kNoBackend = "no_backend";
 inline constexpr const char* kShardDown = "shard_down";
 inline constexpr const char* kRetryBudget = "retry_budget";
 }  // namespace reject
+
+/// Largest integer a wire field may carry: 2^53, the last integer a
+/// JSON number (a double) holds exactly.
+inline constexpr double kMaxWireInteger = 9007199254740992.0;
+/// Largest "deadline_ms": one day.
+inline constexpr double kMaxDeadlineMs = 86400000;
 
 /// Stamp the protocol version on a response object (all response
 /// encoders call this so every line a server emits is versioned).
@@ -71,5 +84,55 @@ inline bool version_ok(const trace::Json& request) {
   if (v == nullptr || !v->is_number()) return true;
   return v->as_double() <= static_cast<double>(kProtocolVersion);
 }
+
+/// Read the number `key` of `j` into *out, `dflt` when absent; false
+/// with a message in *err unless it is a number in [lo, hi] (and, with
+/// `integral`, an integer). `dflt` is checked too, so one outside
+/// [lo, hi] makes the field required. Every numeric wire field passes
+/// here before any cast, so no wire value reaches an out-of-range
+/// conversion.
+bool number_field(const trace::Json& j, std::string_view key, double lo,
+                  double hi, bool integral, double dflt, double* out,
+                  std::string* err);
+
+/// A hull request's "id" (an integer in [0, 2^53], 0 when absent) and
+/// "deadline_ms" (a number in [0, kMaxDeadlineMs], 0 when absent: none).
+bool request_fields(const trace::Json& j, std::uint64_t* id,
+                    double* deadline_ms, std::string* err);
+
+/// The "sid" of a session command, or of a backend's session_open
+/// answer: required, an integer in [1, 2^53]. A missing or bad sid is a
+/// malformed line, not "unknown", which is kept for sids never issued.
+bool sid_field(const trace::Json& j, std::uint64_t* sid, std::string* err);
+
+/// What a line asks for: a hull request when it has no "cmd".
+enum class Command {
+  kRequest, kStatz, kTracez, kSessionOpen, kSessionAppend, kSessionClose,
+  kMarkdown, kMarkup
+};
+
+/// One decoded line; only its command's fields are set.
+struct Envelope {
+  /// The parsed line, read in place or moved on (never copied: a large
+  /// request carries its points here).
+  trace::Json json;
+  Command cmd = Command::kRequest;
+  std::uint64_t id = 0;     ///< kRequest
+  double deadline_ms = 0;   ///< kRequest; 0 = none
+  std::uint64_t sid = 0;    ///< kSessionAppend, kSessionClose
+  std::size_t limit = 16;   ///< kTracez; 0 = everything retained
+  bool slowest = false;     ///< kTracez: "order" is "slowest"
+  bool prometheus = false;  ///< kStatz: "format" is "prometheus"
+  std::size_t shard = 0;    ///< kMarkdown, kMarkup
+  /// Why the line was refused: answer make_error(reject, error).
+  std::string reject;
+  std::string error;
+};
+
+/// Decode one line into *out; false when it is refused. `admin_shards`
+/// is how many shards "markdown"/"markup" may name: the router's shard
+/// count, or 0 at hullserved, where both are unknown commands.
+bool decode_envelope(std::string_view line, std::size_t admin_shards,
+                     Envelope* out);
 
 }  // namespace iph::cluster

@@ -4,15 +4,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "cluster/merge.h"
-#include "cluster/protocol.h"
 #include "stats/export.h"
 #include "support/rng.h"
 
@@ -27,28 +24,6 @@ using ClockT = std::chrono::steady_clock;
 /// collide even under identical salts.
 constexpr std::uint64_t kRequestStream = 0x72657175657374ULL;
 constexpr std::uint64_t kSessionStream = 0x73657373696f6eULL;
-
-/// Largest integer a request field may carry: 2^53, the last integer a
-/// JSON number (a double) holds exactly. hullserved's decoder uses the
-/// same bound.
-constexpr double kMaxWireInteger = 9007199254740992.0;
-
-/// The integer field `key` of `j` into *out: `dflt` when absent, false
-/// unless it is an integer in [lo, hi]. Every integer the router reads
-/// from a request passes here before any cast, so no wire value (1e300,
-/// inf, nan, -5, 2.5) reaches an out-of-range conversion.
-bool integer_field(const Json& j, std::string_view key, double lo, double hi,
-                   std::uint64_t dflt, std::uint64_t* out) {
-  const Json* f = j.find(key);
-  if (f == nullptr) {
-    *out = dflt;
-    return true;
-  }
-  const double v = f->is_number() ? f->as_double() : std::nan("");
-  if (!(v >= lo && v <= hi) || v != std::floor(v)) return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
 
 double ms_since(ClockT::time_point t0) {
   return std::chrono::duration<double, std::milli>(ClockT::now() - t0)
@@ -139,6 +114,7 @@ bool Router::mark_down_io(std::size_t shard) {
   stats_.markdowns_io.inc();
   return true;
 }
+
 
 bool Router::scrape_shard(std::size_t shard,
                           stats::RegistrySnapshot* out) {
@@ -340,114 +316,67 @@ bool Router::Conn::round_trip(std::size_t shard, const std::string& line,
 }
 
 std::string Router::Conn::handle_line(const std::string& line) {
-  Json j;
-  std::string err;
-  if (!Json::parse(line, &j, &err)) {
-    return make_error(reject::kBadJson, "bad JSON: " + err).dump();
+  Envelope in;
+  if (!decode_envelope(line, r_.shard_count(), &in)) {
+    return make_error(in.reject, in.error).dump();
   }
-  if (!j.is_object()) {
-    return make_error(reject::kBadRequest, "request is not a JSON object")
-        .dump();
-  }
-  if (!version_ok(j)) {
-    return make_error(reject::kVersion,
-                      "request pins protocol version " +
-                          j.find("v")->dump() + "; this router speaks " +
-                          std::to_string(kProtocolVersion))
-        .dump();
-  }
-  const Json* c = j.find("cmd");
-  if (c == nullptr) return handle_request(j, line);
-  if (!c->is_string()) {
-    return make_error(reject::kBadRequest, "\"cmd\" must be a string")
-        .dump();
-  }
-  const std::string& cmd = c->as_string();
-  if (cmd == "statz") {
-    return r_.fleet_statz(j.get_str("format") == "prometheus").dump();
-  }
-  if (cmd == "tracez") {
-    std::uint64_t limit = 16;
-    bool slowest = false;
-    if (!integer_field(j, "limit", 0, kMaxWireInteger, 16, &limit)) {
-      return make_error(reject::kBadRequest,
-                        "\"limit\" must be an integer in [0, 2^53]")
-          .dump();
-    }
-    const Json* o = j.find("order");
-    if (o != nullptr) {
-      if (!o->is_string() ||
-          (o->as_string() != "recent" && o->as_string() != "slowest")) {
-        return make_error(reject::kBadRequest,
-                          "\"order\" must be \"recent\" or \"slowest\"")
-            .dump();
+  switch (in.cmd) {
+    case Command::kRequest:
+      return handle_request(in, line);
+    case Command::kStatz:
+      return r_.fleet_statz(in.prometheus).dump();
+    case Command::kTracez:
+      return r_.fleet_tracez(in.limit, in.slowest).dump();
+    case Command::kMarkdown:
+    case Command::kMarkup: {
+      if (in.cmd == Command::kMarkdown) {
+        r_.mark_down_admin(in.shard);
+      } else {
+        r_.mark_up_admin(in.shard);
       }
-      slowest = o->as_string() == "slowest";
+      Json reply = Json::object();
+      reply["status"] = Json("ok");
+      reply["shard"] = Json(static_cast<std::uint64_t>(in.shard));
+      reply["up"] = Json(r_.shard_up(in.shard));
+      stamp_version(&reply);
+      return reply.dump();
     }
-    return r_.fleet_tracez(limit, slowest).dump();
+    case Command::kSessionOpen:
+      return handle_session_open(line);
+    case Command::kSessionAppend:
+    case Command::kSessionClose:
+      break;
   }
-  if (cmd == "markdown" || cmd == "markup") {
-    std::uint64_t shard = 0;
-    if (j.find("shard") == nullptr ||
-        !integer_field(j, "shard", 0,
-                       static_cast<double>(r_.shard_count()) - 1, 0,
-                       &shard)) {
-      return make_error(reject::kBadRequest,
-                        "\"shard\" must index a configured backend")
-          .dump();
-    }
-    if (cmd == "markdown") {
-      r_.mark_down_admin(shard);
-    } else {
-      r_.mark_up_admin(shard);
-    }
-    Json reply = Json::object();
-    reply["status"] = Json("ok");
-    reply["shard"] = Json(static_cast<std::uint64_t>(shard));
-    reply["up"] = Json(r_.shard_up(shard));
-    stamp_version(&reply);
-    return reply.dump();
-  }
-  if (cmd == "session_open") return handle_session_open(line);
-  if (cmd == "session_append" || cmd == "session_close") {
-    return handle_session_cmd(cmd, std::move(j));
-  }
-  return make_error(reject::kUnknownCmd, "unknown cmd \"" + cmd + "\"")
-      .dump();
+  return handle_session_cmd(std::move(in));
 }
 
-std::string Router::Conn::handle_request(const Json& j,
-                                         const std::string& line) {
-  std::uint64_t id = 0;
-  if (!integer_field(j, "id", 0, kMaxWireInteger, 0, &id)) {
-    return make_error(reject::kBadRequest,
-                      "\"id\" must be an integer in [0, 2^53]")
-        .dump();
-  }
-  const std::uint64_t key =
-      id != 0 ? support::mix3(r_.cfg_.seed, kRequestStream, id)
-              : support::mix3(r_.cfg_.seed ^ kRequestStream, salt_, ++seq_);
-  const double deadline_ms = j.get_num("deadline_ms", 0);
+template <class OnReply>
+std::string Router::Conn::forward(std::uint64_t key, double deadline_ms,
+                                  const std::string& line,
+                                  OnReply on_reply) {
   const auto start = ClockT::now();
   const int attempts = 1 + std::max(0, r_.cfg_.retry_limit);
-
-  std::string last_reply;
-  bool have_reply = false;
-  bool routed_any = false;
+  std::string fallback;  // the last backend reject, surfaced at the end
+  std::vector<std::size_t> tried;
   stats::Counter* pending_retry = nullptr;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0 && deadline_ms > 0 && ms_since(start) >= deadline_ms) {
       break;
     }
+    // The first up shard clockwise from the key that this line has not
+    // tried: an io mark-down shrinks the ring under the walk, so the
+    // attempt-th distinct shard would skip the nearest sibling.
     std::size_t shard = 0;
-    bool found;
+    bool found = false;
     {
       std::lock_guard<std::mutex> lk(r_.mu_);
-      found = r_.ring_.shard_for_attempt(
-          key, static_cast<std::size_t>(attempt), &shard);
+      for (std::size_t a = 0;
+           !found && r_.ring_.shard_for_attempt(key, a, &shard); ++a) {
+        found = std::find(tried.begin(), tried.end(), shard) == tried.end();
+      }
     }
     if (!found) break;
-    routed_any = true;
+    tried.push_back(shard);
     // The retry counter names the reason the PREVIOUS attempt failed,
     // and only counts when the retry actually executes.
     if (pending_retry != nullptr) {
@@ -457,34 +386,24 @@ std::string Router::Conn::handle_request(const Json& j,
     const auto t0 = ClockT::now();
     std::string reply;
     if (!round_trip(shard, line, &reply)) {
-      r_.mark_down_io(shard);
       pending_retry = &r_.stats_.retries_io;
-      continue;
-    }
-    r_.stats_.forward_ms.record(ms_since(t0));
-    r_.stats_.forwards.inc();
-    r_.stats_.routes[shard]->inc();
-    last_reply = std::move(reply);
-    have_reply = true;
-    Json rj;
-    std::string perr;
-    if (!Json::parse(last_reply, &rj, &perr) || !rj.is_object()) {
-      return last_reply;
-    }
-    const std::string status = rj.get_str("status", "");
-    if (status == "rejected_full") {
-      pending_retry = &r_.stats_.retries_rejected_full;
-    } else if (status == "rejected_shutdown") {
-      pending_retry = &r_.stats_.retries_rejected_shutdown;
     } else {
-      return last_reply;
+      r_.stats_.forward_ms.record(ms_since(t0));
+      r_.stats_.routes[shard]->inc();
+      pending_retry = on_reply(shard, &reply);
+      if (pending_retry == nullptr) return reply;
+    }
+    if (pending_retry == &r_.stats_.retries_io) {
+      r_.mark_down_io(shard);
+    } else {
+      fallback = std::move(reply);
     }
   }
   // Budget exhausted. A backend's own reject is surfaced verbatim —
   // the client sees WHY the fleet pushed back; only when no backend
   // ever answered does the router mint its own reject.
-  if (have_reply) return last_reply;
-  if (!routed_any) {
+  if (!fallback.empty()) return fallback;
+  if (tried.empty()) {
     r_.stats_.rejected_no_backend.inc();
     return make_error(reject::kNoBackend, "no backend shard is up").dump();
   }
@@ -494,77 +413,64 @@ std::string Router::Conn::handle_request(const Json& j,
       .dump();
 }
 
+std::string Router::Conn::handle_request(const Envelope& in,
+                                         const std::string& line) {
+  const std::uint64_t key =
+      in.id != 0
+          ? support::mix3(r_.cfg_.seed, kRequestStream, in.id)
+          : support::mix3(r_.cfg_.seed ^ kRequestStream, salt_, ++seq_);
+  const auto judge = [this](std::size_t,
+                            std::string* reply) -> stats::Counter* {
+    // A backend answers a line it submitted with a "status" and a line
+    // it refuses to decode without one: only the first is a forward.
+    Json rj;
+    if (!Json::parse(*reply, &rj, nullptr) || rj.find("status") == nullptr) {
+      return nullptr;
+    }
+    r_.stats_.forwards.inc();
+    const std::string status = rj.get_str("status");
+    if (status == "rejected_full") return &r_.stats_.retries_rejected_full;
+    if (status == "rejected_shutdown") {
+      return &r_.stats_.retries_rejected_shutdown;
+    }
+    return nullptr;
+  };
+  return forward(key, in.deadline_ms, line, judge);
+}
+
 std::string Router::Conn::handle_session_open(const std::string& line) {
   const std::uint64_t key =
       support::mix3(r_.cfg_.seed ^ kSessionStream, salt_, ++seq_);
-  const int attempts = 1 + std::max(0, r_.cfg_.retry_limit);
-  bool routed_any = false;
-  stats::Counter* pending_retry = nullptr;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    std::size_t shard = 0;
-    bool found;
-    {
-      std::lock_guard<std::mutex> lk(r_.mu_);
-      found = r_.ring_.shard_for_attempt(
-          key, static_cast<std::size_t>(attempt), &shard);
-    }
-    if (!found) break;
-    routed_any = true;
-    if (pending_retry != nullptr) {
-      pending_retry->inc();
-      pending_retry = nullptr;
-    }
-    const auto t0 = ClockT::now();
-    std::string reply;
-    // Opening is stateless until it succeeds: an io failure here never
-    // strands backend state, so sibling retry is safe.
-    if (!round_trip(shard, line, &reply)) {
-      r_.mark_down_io(shard);
-      pending_retry = &r_.stats_.retries_io;
-      continue;
-    }
-    // routes{} counts every forwarded line; forwards stays a pure
-    // hull-request counter so it reconciles against backend submitted.
-    r_.stats_.forward_ms.record(ms_since(t0));
-    r_.stats_.routes[shard]->inc();
+  // Opening is stateless until it succeeds, so sibling retry is safe.
+  const auto judge = [this](std::size_t shard,
+                            std::string* reply) -> stats::Counter* {
     Json rj;
-    std::string perr;
-    if (!Json::parse(reply, &rj, &perr) || !rj.is_object() ||
-        rj.get_str("status", "") != "ok") {
-      return reply;  // backend reject (session cap etc) — surfaced
+    if (!Json::parse(*reply, &rj, nullptr) || rj.get_str("status") != "ok") {
+      return nullptr;  // backend reject (session cap etc) — surfaced
     }
-    const auto backend_sid = static_cast<std::uint64_t>(rj.get_num("sid"));
+    // The backend's sid becomes the router's mapping, so it passes the
+    // check a client's sid does; an answer without a usable one counts
+    // as a failed round trip on that shard.
+    std::uint64_t backend_sid = 0;
+    std::string err;
+    if (!sid_field(rj, &backend_sid, &err)) return &r_.stats_.retries_io;
     std::uint64_t router_sid;
     {
       std::lock_guard<std::mutex> lk(r_.mu_);
       router_sid = r_.next_sid_++;
-      r_.sessions_.emplace(router_sid,
-                           SessionEntry{shard, backend_sid, false});
+      r_.sessions_.emplace(router_sid, SessionEntry{shard, backend_sid, false});
     }
     r_.stats_.sessions_open.add(1);
     my_sids_.push_back(router_sid);
     rj["sid"] = Json(router_sid);
-    return rj.dump();
-  }
-  if (!routed_any) {
-    r_.stats_.rejected_no_backend.inc();
-    return make_error(reject::kNoBackend, "no backend shard is up").dump();
-  }
-  r_.stats_.rejected_retry_budget.inc();
-  return make_error(reject::kRetryBudget,
-                    "no backend accepted the session open")
-      .dump();
+    *reply = rj.dump();
+    return nullptr;
+  };
+  return forward(key, /*deadline_ms=*/0, line, judge);
 }
 
-std::string Router::Conn::handle_session_cmd(const std::string& cmd,
-                                             Json j) {
-  std::uint64_t router_sid = 0;
-  if (j.find("sid") == nullptr ||
-      !integer_field(j, "sid", 1, kMaxWireInteger, 0, &router_sid)) {
-    return make_error(reject::kBadRequest,
-                      "session command needs a \"sid\" in [1, 2^53]")
-        .dump();
-  }
+std::string Router::Conn::handle_session_cmd(Envelope in) {
+  const std::uint64_t router_sid = in.sid;
   std::size_t shard = 0;
   std::uint64_t backend_sid = 0;
   enum { kRoute, kUnknown, kClosed, kDown } state = kRoute;
@@ -598,10 +504,10 @@ std::string Router::Conn::handle_session_cmd(const std::string& cmd,
                           "re-routed")
         .dump();
   }
-  j["sid"] = Json(backend_sid);
+  in.json["sid"] = Json(backend_sid);
   const auto t0 = ClockT::now();
   std::string reply;
-  if (!round_trip(shard, j.dump(), &reply)) {
+  if (!round_trip(shard, in.json.dump(), &reply)) {
     r_.mark_down_io(shard);
     r_.stats_.rejected_shard_down.inc();
     return make_error(reject::kShardDown,
@@ -616,7 +522,7 @@ std::string Router::Conn::handle_session_cmd(const std::string& cmd,
   std::string perr;
   if (!Json::parse(reply, &rj, &perr) || !rj.is_object()) return reply;
   if (rj.find("sid") != nullptr) rj["sid"] = Json(router_sid);
-  if (cmd == "session_close" && rj.get_str("status", "") == "ok") {
+  if (in.cmd == Command::kSessionClose && rj.get_str("status", "") == "ok") {
     r_.mark_session_closed(router_sid);
   }
   return rj.dump();

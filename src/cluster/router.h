@@ -8,6 +8,11 @@
 // connection), bench/e16_cluster and tests/cluster_test all drive the
 // exact same routing code.
 //
+// Decoding: handle_line decodes each line with decode_envelope
+// (cluster/protocol.h), as hullserved does, so a malformed line gets
+// the same answer from either and never reaches a backend; a backend's
+// own decode error has no "status" and is no forward (cluster/stats.h).
+//
 // Routing (DESIGN.md §13):
 //   * Batch requests consistent-hash on their request id (HashRing over
 //     the configured endpoints; requests without an id spread by a
@@ -22,12 +27,14 @@
 //     rejected_shutdown answer is surfaced to the client verbatim
 //     after the retry budget (bounded sibling retries for stateless
 //     requests only, clipped by the request's deadline_ms) runs out.
-//   * IO failures mark the shard down (cause=io) and retry siblings;
-//     the health prober (probe_period_ms > 0) marks io-down shards
-//     back up when their statz probe answers again. Administrative
-//     mark_down (wire cmd "markdown", or mark_down_admin) is a drain:
-//     new traffic routes around the shard, in-flight lines finish, and
-//     the prober never overrides it — only mark_up_admin does.
+//   * IO failures mark the shard down (cause=io) and retry siblings (so
+//     does a session_open answer without a sid in [1, 2^53]; it is
+//     never mapped); the health prober (probe_period_ms > 0) marks
+//     io-down shards back up when their statz probe answers again.
+//     Administrative mark_down (wire cmd "markdown", or
+//     mark_down_admin) is a drain: new traffic routes around the shard,
+//     in-flight lines finish, and the prober never overrides it — only
+//     mark_up_admin does.
 //
 // Fleet statz: fleet_statz() live-scrapes every backend, falls back to
 // the last good snapshot for unreachable ones (so a crashed backend
@@ -52,6 +59,7 @@
 #include <vector>
 
 #include "cluster/endpoint.h"
+#include "cluster/protocol.h"
 #include "cluster/ring.h"
 #include "cluster/stats.h"
 #include "stats/stats.h"
@@ -112,10 +120,17 @@ class Router {
     std::string handle_line(const std::string& line);
 
    private:
-    std::string handle_request(const trace::Json& j,
-                               const std::string& line);
+    std::string handle_request(const Envelope& in, const std::string& line);
     std::string handle_session_open(const std::string& line);
-    std::string handle_session_cmd(const std::string& cmd, trace::Json j);
+    std::string handle_session_cmd(Envelope in);
+    /// The attempt loop of a stateless line (a request, a session_open):
+    /// walk the ring from `key` within the retry budget and `deadline_ms`
+    /// (0 = none). `on_reply(shard, &reply)` judges each answer: nullptr
+    /// returns it; retries{rejected_*} keeps it in case no sibling does
+    /// better; retries{io} marks the shard down like a failed round trip.
+    template <class OnReply>
+    std::string forward(std::uint64_t key, double deadline_ms,
+                        const std::string& line, OnReply on_reply);
     /// Forward `line` to `shard` on this conn's channel; false on IO
     /// failure (the channel is reset so the next use re-dials).
     bool round_trip(std::size_t shard, const std::string& line,

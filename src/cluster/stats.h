@@ -11,14 +11,16 @@
 // Reconciliation invariants (asserted by tests, hullload --scrape and
 // the CI cluster smoke), extending PR 5's discipline to fleet level:
 //   forwards == sum of backend iph_serve_submitted_total
-//     every forward is one backend round trip that got an answer, and
+//     every forward is one backend round trip whose answer carries a
+//     "status", as the answer to every line a backend submits does, and
 //     load runs are the fleet's only request traffic;
-//   forwards == client requests + retries{rejected_*}
+//   forwards == well-formed client requests + retries{rejected_*}
 //     a retried request submits once per attempt but the client sees
 //     exactly one answer — so sum(backend completed) == client ok
 //     counts every retried request ONCE;
 //   retries{io} forwards nothing on the failed attempt (the connect or
-//     round trip failed before a backend counted it).
+//     round trip failed before a backend counted it, or a session_open
+//     answer carried no usable sid).
 // All router counters are bumped BEFORE the answer line is returned to
 // the client, matching the serve-side counters-before-promise rule.
 #pragma once
@@ -31,9 +33,9 @@
 namespace iph::cluster {
 
 namespace statnames {
-/// Hull-request round trips that produced an answer (any status).
-/// Session commands count in routes{} only, so this reconciles
-/// against the fleet's iph_serve_submitted_total.
+/// Hull-request round trips whose answer carries a "status" (any):
+/// backend decode errors and session commands count in routes{} only,
+/// so this reconciles against the fleet's iph_serve_submitted_total.
 inline constexpr const char* kForwards = "iph_router_forwards_total";
 /// Per-shard forwarded-line counters (requests AND session commands
 /// that got an answer), labeled shard="0".."n-1".

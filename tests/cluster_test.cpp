@@ -24,6 +24,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -257,6 +258,66 @@ TEST(Protocol, StructuredErrorsCarryReasonAndVersion) {
   EXPECT_EQ(error_reject_reason(legacy), "");
 }
 
+TEST(Protocol, PinnedVersionIsPrintedNeverCast) {
+  // strtod reads 1e400 as inf and accepts nan; none of the three may
+  // reach an integer conversion on its way into the reject text.
+  const std::pair<const char*, const char*> lines[] = {
+      {R"({"v":1e300,"n":3})", "1.0000000000000001e+300"},
+      {R"({"v":1e400,"n":3})", "inf"},
+      {R"({"v":nan,"n":3})", "nan"},
+  };
+  for (const auto& [line, printed] : lines) {
+    Envelope in;
+    EXPECT_FALSE(decode_envelope(line, 0, &in)) << line;
+    EXPECT_EQ(in.reject, reject::kVersion) << line;
+    EXPECT_EQ(in.error, std::string("request pins protocol version ") +
+                            printed + "; this server speaks 1")
+        << line;
+  }
+}
+
+TEST(Protocol, EnvelopeClassifiesCommandsAndRangeChecksTheirFields) {
+  Envelope in;
+  ASSERT_TRUE(decode_envelope(R"({"id":7,"deadline_ms":2.5,"n":4})", 0, &in));
+  EXPECT_EQ(in.cmd, Command::kRequest);
+  EXPECT_EQ(in.id, 7u);
+  EXPECT_EQ(in.deadline_ms, 2.5);
+  EXPECT_EQ(in.json.get_num("n"), 4);  // the rest is the backend's
+  ASSERT_TRUE(decode_envelope(R"({"cmd":"statz","format":"prometheus"})", 0,
+                              &in));
+  EXPECT_EQ(in.cmd, Command::kStatz);
+  EXPECT_TRUE(in.prometheus);
+  ASSERT_TRUE(decode_envelope(R"({"cmd":"tracez","limit":0,"order":"slowest"})",
+                              0, &in));
+  EXPECT_EQ(in.cmd, Command::kTracez);
+  EXPECT_EQ(in.limit, 0u);
+  EXPECT_TRUE(in.slowest);
+  ASSERT_TRUE(decode_envelope(R"({"cmd":"session_close","sid":9})", 0, &in));
+  EXPECT_EQ(in.cmd, Command::kSessionClose);
+  EXPECT_EQ(in.sid, 9u);
+  ASSERT_TRUE(decode_envelope(R"({"cmd":"markup","shard":2})", 3, &in));
+  EXPECT_EQ(in.cmd, Command::kMarkup);
+  EXPECT_EQ(in.shard, 2u);
+
+  // Admin commands exist only where there are shards to name.
+  const std::pair<const char*, std::size_t> unknown[] = {
+      {R"({"cmd":"markdown","shard":0})", 0}, {R"({"cmd":"frobnicate"})", 3}};
+  for (const auto& [line, shards] : unknown) {
+    EXPECT_FALSE(decode_envelope(line, shards, &in)) << line;
+    EXPECT_EQ(in.reject, reject::kUnknownCmd) << line;
+  }
+  EXPECT_FALSE(decode_envelope("{oops", 3, &in));
+  EXPECT_EQ(in.reject, reject::kBadJson);
+  for (const char* line : {
+           "[1,2]", R"({"cmd":5,"n":3})", R"({"cmd":"statz","format":"xml"})",
+           R"({"cmd":"tracez","order":"fastest"})",
+           R"({"cmd":"markdown","shard":3})", R"({"n":3,"deadline_ms":"x"})"}) {
+    EXPECT_FALSE(decode_envelope(line, 3, &in)) << line;
+    EXPECT_EQ(in.reject, reject::kBadRequest) << line;
+    EXPECT_FALSE(in.error.empty()) << line;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Router over FakeShard backends
 
@@ -281,6 +342,9 @@ class FakeShard {
 
   /// 0 = accept, 1 = rejected_full, 2 = rejected_shutdown.
   std::atomic<int> reject_mode{0};
+  /// Nonzero: session_open answers "ok" with this "sid" instead of one
+  /// it issued (a misbehaving backend).
+  std::atomic<double> open_sid{0};
 
   void start(int port) {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -350,7 +414,8 @@ class FakeShard {
         if (cmd == "statz") {
           r["statz"] = stats::to_json(registry_.snapshot());
         } else if (cmd == "session_open") {
-          r["sid"] = Json(next_sid++);
+          r["sid"] = open_sid.load() != 0 ? Json(open_sid.load())
+                                          : Json(next_sid++);
           r["status"] = Json("ok");
           r["shard"] = Json(static_cast<std::uint64_t>(tag_));
         } else if (cmd == "session_append" || cmd == "session_close") {
@@ -673,14 +738,19 @@ TEST(Router, WireProtocolAdminDrainRejectsAndVersionGate) {
 }
 
 TEST(Router, OutOfRangeIntegerFieldsAreBadRequestsAndNeverForwarded) {
-  // Every integer the router itself reads (request id, session sid,
-  // admin shard, tracez limit) is range-checked before any cast: huge,
-  // infinite, negative, fractional or non-numeric values answer
-  // bad_request, reach no backend, and leave the connection usable.
+  // Every field the router itself reads ("cmd", request id and
+  // deadline_ms, session sid, admin shard, tracez limit) is checked by
+  // the shared decoder before any cast: huge, infinite, negative,
+  // fractional or non-numeric values answer bad_request, reach no
+  // backend, and leave the connection usable.
   auto fleet = make_fleet(2);
   Router router(fleet_config(fleet, /*retries=*/1, /*probe_ms=*/0));
   Router::Conn conn(router);
   const char* bad[] = {
+      R"({"cmd":5,"n":3})",
+      R"({"id":1,"n":16,"deadline_ms":-4})",
+      R"({"id":1,"n":16,"deadline_ms":1e300})",
+      R"({"id":1,"n":16,"deadline_ms":"x"})",
       R"({"id":1e300,"n":16})",
       R"({"id":1e400,"n":16})",
       R"({"id":-1e400,"n":16})",
@@ -706,22 +776,39 @@ TEST(Router, OutOfRangeIntegerFieldsAreBadRequestsAndNeverForwarded) {
       R"({"cmd":"tracez","limit":1e300})",
       R"({"cmd":"tracez","limit":1e400})",
   };
+  // Each answer is the shared decoder's, byte for byte: the text a
+  // hullserved sends for the same line.
+  const auto decoder_answer = [&](const char* line) {
+    Envelope in;
+    EXPECT_FALSE(decode_envelope(line, router.shard_count(), &in)) << line;
+    return make_error(in.reject, in.error).dump();
+  };
   for (const char* line : bad) {
+    const std::string raw = conn.handle_line(line);
+    EXPECT_EQ(raw, decoder_answer(line));
     Json reply;
     std::string err;
-    ASSERT_TRUE(Json::parse(conn.handle_line(line), &reply, &err))
-        << line << ": " << err;
+    ASSERT_TRUE(Json::parse(raw, &reply, &err)) << line << ": " << err;
     EXPECT_EQ(reply.get_str("reject"), reject::kBadRequest) << line;
   }
   // A version too new to speak is a version reject, however large.
-  for (const char* line : {R"({"v":1e300,"n":16})", R"({"v":1e400,"n":16})"}) {
+  for (const char* line : {R"({"v":1e300,"n":16})", R"({"v":1e400,"n":16})",
+                           R"({"v":nan,"n":16})"}) {
+    const std::string raw = conn.handle_line(line);
+    EXPECT_EQ(raw, decoder_answer(line));
     Json reply;
     std::string err;
-    ASSERT_TRUE(Json::parse(conn.handle_line(line), &reply, &err)) << line;
+    ASSERT_TRUE(Json::parse(raw, &reply, &err)) << line;
     EXPECT_EQ(reply.get_str("reject"), reject::kVersion) << line;
   }
   const stats::RegistrySnapshot s = router.registry().snapshot();
   EXPECT_EQ(s.counter_or0(statnames::kForwards), 0u);
+  for (std::size_t k = 0; k < fleet.size(); ++k) {
+    EXPECT_EQ(s.counter_or0(stats::labeled(statnames::kRoutesBase, "shard",
+                                           std::to_string(k))),
+              0u)
+        << "a refused line reached shard " << k;
+  }
   EXPECT_EQ(s.counter_or0(stats::labeled(statnames::kMarkdownsBase, "cause",
                                          "admin")),
             0u);
@@ -834,6 +921,56 @@ TEST(Router, ConnTeardownClosesItsSessionsGlobally) {
   const stats::RegistrySnapshot s = router.registry().snapshot();
   ASSERT_NE(s.gauge(statnames::kSessionsOpen), nullptr);
   EXPECT_EQ(*s.gauge(statnames::kSessionsOpen), 0);
+}
+
+TEST(Router, SessionOpenAnswerWithoutAUsableSidIsAFailedRoundTrip) {
+  // A backend's sid becomes the router's mapping: one that is not an
+  // integer in [1, 2^53] is never mapped. The shard is marked down and a
+  // sibling tried, exactly as when the round trip fails.
+  Json open = Json::object();
+  open["cmd"] = Json("session_open");
+  for (const double bad : {1e300, -5.0, 2.5}) {
+    auto fleet = make_fleet(2);
+    for (auto& f : fleet) f->open_sid.store(bad);
+    Router router(fleet_config(fleet, /*retries=*/1, /*probe_ms=*/0));
+    Router::Conn conn(router);
+    const std::string raw = conn.handle_line(open.dump());
+    EXPECT_EQ(raw.find("\"status\":\"ok\""), std::string::npos) << raw;
+    Json reply;
+    std::string err;
+    ASSERT_TRUE(Json::parse(raw, &reply, &err)) << raw;
+    EXPECT_EQ(reply.get_str("reject"), reject::kRetryBudget) << bad;
+    EXPECT_FALSE(router.shard_up(0)) << bad;
+    EXPECT_FALSE(router.shard_up(1)) << bad;
+    const stats::RegistrySnapshot s = router.registry().snapshot();
+    EXPECT_EQ(s.counter_or0(
+                  stats::labeled(statnames::kMarkdownsBase, "cause", "io")),
+              2u);
+    EXPECT_EQ(s.counter_or0(
+                  stats::labeled(statnames::kRetriesBase, "reason", "io")),
+              1u);
+    ASSERT_NE(s.gauge(statnames::kSessionsOpen), nullptr);
+    EXPECT_EQ(*s.gauge(statnames::kSessionsOpen), 0) << bad;
+  }
+
+  // With one good sibling every open lands there, and the session it
+  // maps answers from that shard.
+  auto fleet = make_fleet(2);
+  fleet[0]->open_sid.store(2.5);
+  Router router(fleet_config(fleet, /*retries=*/1, /*probe_ms=*/0));
+  for (int tries = 0; tries < 64 && router.shard_up(0); ++tries) {
+    Router::Conn conn(router);
+    const Json r = send(conn, open);
+    ASSERT_EQ(r.get_str("status"), "ok");
+    EXPECT_EQ(static_cast<std::uint64_t>(r.get_num("shard")), 1u);
+    Json append = Json::object();
+    append["cmd"] = Json("session_append");
+    append["sid"] = Json(r.get_num("sid"));
+    const Json a = send(conn, append);
+    EXPECT_EQ(a.get_str("status"), "ok");
+    EXPECT_EQ(static_cast<std::uint64_t>(a.get_num("shard")), 1u);
+  }
+  EXPECT_FALSE(router.shard_up(0)) << "no open was ever homed on shard 0";
 }
 
 TEST(Endpoint, ParsesListsAndRejectsGarbage) {

@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -46,7 +47,6 @@
 namespace {
 
 using iph::serve::HullService;
-using iph::serve::Response;
 using iph::serve::ServiceConfig;
 using iph::session::SessionManager;
 using iph::tools::LineChannel;
@@ -92,67 +92,32 @@ int usage(const char* argv0) {
 /// 1, so its stamped ids are deterministic — serve_smoke asserts them).
 void serve_stream(HullService& svc, SessionManager& mgr, int in_fd,
                   int out_fd, std::uint64_t conn_id) {
+  namespace tools = iph::tools;
+  using iph::cluster::Command;
   LineChannel chan(in_fd, out_fd);
 
-  // Either a pending future, an immediate parse-error message, a
-  // statz/tracez command (answered with a snapshot taken at WRITE time,
-  // so such a line's counters/traces include every request answered
-  // before it on this stream), or a session answer already rendered at
-  // READ time (`ready` — SessionManager calls are synchronous, and
-  // rendering before enqueue keeps the one-response-per-line FIFO
-  // exact).
-  struct Outgoing {
-    std::future<Response> fut;
-    bool edge_above = false;
-    bool statz = false;
-    bool statz_prometheus = false;
-    bool tracez = false;
-    std::size_t tracez_limit = 16;
-    bool tracez_slowest = false;
-    std::string error;
-    std::string error_reject = iph::cluster::reject::kBadRequest;
-    std::string ready;
-  };
-  std::deque<Outgoing> queue;
+  // Each line's answer, queued in read order as a function returning its
+  // text. Errors and session answers are rendered when the line is read
+  // (SessionManager calls are synchronous); a request renders when its
+  // hull is done, and statz/tracez at WRITE time, so that their snapshot
+  // includes every request answered before them on the stream.
+  using Answer = std::function<std::string()>;
+  std::deque<Answer> queue;
   std::mutex mu;
   std::condition_variable cv;
   bool done = false;
 
   std::thread responder([&] {
     for (;;) {
-      Outgoing out;
+      Answer next;
       {
         std::unique_lock<std::mutex> lk(mu);
         cv.wait(lk, [&] { return done || !queue.empty(); });
         if (queue.empty()) return;  // done && drained
-        out = std::move(queue.front());
+        next = std::move(queue.front());
         queue.pop_front();
       }
-      if (!out.error.empty()) {
-        const Json err =
-            iph::cluster::make_error(out.error_reject, out.error);
-        if (!chan.write_line(err.dump())) return;
-        continue;
-      }
-      if (!out.ready.empty()) {
-        if (!chan.write_line(out.ready)) return;
-        continue;
-      }
-      if (out.statz) {
-        const Json line = iph::tools::statz_response(
-            svc.stats_registry().snapshot(), out.statz_prometheus);
-        if (!chan.write_line(line.dump())) return;
-        continue;
-      }
-      if (out.tracez) {
-        const Json line = iph::tools::tracez_response(
-            *svc.flight_recorder(), out.tracez_limit, out.tracez_slowest);
-        if (!chan.write_line(line.dump())) return;
-        continue;
-      }
-      const Response resp = out.fut.get();
-      const Json line = iph::tools::response_to_json(resp, out.edge_above);
-      if (!chan.write_line(line.dump())) return;
+      if (!chan.write_line(next())) return;
     }
   });
 
@@ -160,100 +125,93 @@ void serve_stream(HullService& svc, SessionManager& mgr, int in_fd,
   // server-side when the stream ends, so an abandoned connection can't
   // pin live-session slots (or their aux-cell footprint) forever.
   std::vector<std::uint64_t> open_sids;
-  const auto forget_sid = [&open_sids](std::uint64_t sid) {
-    for (auto it = open_sids.begin(); it != open_sids.end(); ++it) {
-      if (*it == sid) {
-        open_sids.erase(it);
-        return;
+  std::uint64_t trace_seq = 0;  // server-stamped ids on this stream
+
+  const auto ready = [](const Json& reply) -> Answer {
+    return [text = reply.dump()]() mutable { return std::move(text); };
+  };
+  const auto bad_request = [&ready](const std::string& text) {
+    return ready(iph::cluster::make_error(iph::cluster::reject::kBadRequest,
+                                          text));
+  };
+  const auto answer = [&](const iph::cluster::Envelope& in) -> Answer {
+    std::string err;
+    switch (in.cmd) {
+      case Command::kStatz:
+        return [&svc, prometheus = in.prometheus] {
+          return tools::statz_response(svc.stats_registry().snapshot(),
+                                       prometheus)
+              .dump();
+        };
+      case Command::kTracez:
+        if (svc.flight_recorder() == nullptr) {
+          return bad_request("tracing disabled (--obs-capacity 0)");
+        }
+        return [&svc, limit = in.limit, slowest = in.slowest] {
+          return tools::tracez_response(*svc.flight_recorder(), limit,
+                                        slowest)
+              .dump();
+        };
+      case Command::kSessionOpen: {
+        iph::exec::BackendKind want;
+        if (!tools::session_open_from_json(in.json, &want, &err)) {
+          return bad_request(err);
+        }
+        iph::session::OpenInfo info;
+        const auto st = mgr.open(want, &info);
+        if (st == iph::session::SessionStatus::kOk) {
+          open_sids.push_back(info.sid);
+        }
+        return ready(tools::session_open_response(st, info));
+      }
+      case Command::kSessionAppend: {
+        std::uint64_t sid = 0;
+        std::vector<iph::geom::Point2> pts;
+        if (!tools::session_append_from_json(in.json, &sid, &pts, &err)) {
+          return bad_request(err);
+        }
+        iph::session::AppendResult res;
+        const auto st = mgr.append(sid, pts, &res);
+        return ready(tools::session_append_response(sid, st, res));
+      }
+      case Command::kSessionClose: {
+        iph::session::CloseSummary sum;
+        const auto st = mgr.close(in.sid, &sum);
+        if (st == iph::session::SessionStatus::kOk) {
+          std::erase(open_sids, in.sid);
+        }
+        return ready(tools::session_close_response(in.sid, st, sum));
+      }
+      default: {  // kRequest; with no shards, admin commands never decode
+        iph::serve::Request req;
+        bool edge_above = false;
+        if (!tools::request_from_json(in.json, &req, &edge_above, &err)) {
+          return bad_request(err);
+        }
+        // Client-supplied ids are adopted verbatim (already parsed into
+        // req.trace); everything else is stamped here, per connection —
+        // unless tracing is off (--obs-capacity 0), in which case
+        // responses stay id-free like the recorder-less service itself.
+        if (!req.trace.has_id() && svc.flight_recorder() != nullptr) {
+          req.trace.trace_id = (conn_id << 32) | ++trace_seq;
+        }
+        return [fut = svc.submit(std::move(req)).share(), edge_above] {
+          return tools::response_to_json(fut.get(), edge_above).dump();
+        };
       }
     }
   };
 
   std::string line;
-  std::uint64_t trace_seq = 0;  // server-stamped ids on this stream
   while (chan.read_line(&line)) {
     if (line.empty()) continue;
-    Outgoing out;
-    Json j;
-    std::string err;
-    std::string cmd;
-    iph::serve::Request req;
-    if (!Json::parse(line, &j, &err)) {
-      out.error = "bad JSON: " + err;
-      out.error_reject = iph::cluster::reject::kBadJson;
-    } else if (!iph::cluster::version_ok(j)) {
-      out.error = "request pins protocol version " +
-                  std::to_string(static_cast<long long>(j.get_num("v", 0))) +
-                  "; this server speaks " +
-                  std::to_string(iph::cluster::kProtocolVersion);
-      out.error_reject = iph::cluster::reject::kVersion;
-    } else if (iph::tools::wire_command(j, &cmd)) {
-      if (cmd == "statz") {
-        out.statz = true;
-        out.statz_prometheus = j.get_str("format") == "prometheus";
-      } else if (cmd == "tracez") {
-        if (svc.flight_recorder() == nullptr) {
-          out.error = "tracing disabled (--obs-capacity 0)";
-        } else if (!iph::tools::tracez_args_from_json(
-                       j, &out.tracez_limit, &out.tracez_slowest, &err)) {
-          out.error = err;
-        } else {
-          out.tracez = true;
-        }
-      } else if (cmd == "session_open") {
-        iph::exec::BackendKind want;
-        if (!iph::tools::session_open_from_json(j, &want, &err)) {
-          out.error = err;
-        } else {
-          iph::session::OpenInfo info;
-          const auto st = mgr.open(want, &info);
-          if (st == iph::session::SessionStatus::kOk) {
-            open_sids.push_back(info.sid);
-          }
-          out.ready = iph::tools::session_open_response(st, info).dump();
-        }
-      } else if (cmd == "session_append") {
-        std::uint64_t sid = 0;
-        std::vector<iph::geom::Point2> pts;
-        if (!iph::tools::session_append_from_json(j, &sid, &pts, &err)) {
-          out.error = err;
-        } else {
-          iph::session::AppendResult res;
-          const auto st = mgr.append(sid, pts, &res);
-          out.ready =
-              iph::tools::session_append_response(sid, st, res).dump();
-        }
-      } else if (cmd == "session_close") {
-        std::uint64_t sid = 0;
-        if (!iph::tools::session_sid_from_json(j, &sid, &err)) {
-          out.error = err;
-        } else {
-          iph::session::CloseSummary sum;
-          const auto st = mgr.close(sid, &sum);
-          if (st == iph::session::SessionStatus::kOk) forget_sid(sid);
-          out.ready =
-              iph::tools::session_close_response(sid, st, sum).dump();
-        }
-      } else {
-        out.error = "unknown cmd \"" + cmd + "\"";
-        out.error_reject = iph::cluster::reject::kUnknownCmd;
-      }
-    } else if (!iph::tools::request_from_json(j, &req, &out.edge_above,
-                                              &err)) {
-      out.error = err;
-    } else {
-      // Client-supplied ids are adopted verbatim (already parsed into
-      // req.trace); everything else is stamped here, per connection —
-      // unless tracing is off (--obs-capacity 0), in which case
-      // responses stay id-free like the recorder-less service itself.
-      if (!req.trace.has_id() && svc.flight_recorder() != nullptr) {
-        req.trace.trace_id = (conn_id << 32) | ++trace_seq;
-      }
-      out.fut = svc.submit(std::move(req));
-    }
+    iph::cluster::Envelope in;
+    Answer next = iph::cluster::decode_envelope(line, /*admin_shards=*/0, &in)
+                      ? answer(in)
+                      : ready(iph::cluster::make_error(in.reject, in.error));
     {
       std::lock_guard<std::mutex> lk(mu);
-      queue.push_back(std::move(out));
+      queue.push_back(std::move(next));
     }
     cv.notify_one();
   }

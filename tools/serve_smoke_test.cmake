@@ -26,12 +26,15 @@
 #         -P serve_smoke_test.cmake
 #   8. Cluster: hullrouter fronting 3 hullserved backends (--port 0,
 #      ports read from the "listening <port>" stdout contract). Wire
-#      admin drain/undrain + fleet statz over stdin mode; then over
-#      TCP a batch burst and a streaming-session burst through the
-#      router (both with exact router-aware scrape reconciliation), a
-#      backend killed mid-fleet with the next burst still all-ok
-#      (io retries + markdown visible in the router's shutdown statz
-#      dump), and a direct multi-target hullload --endpoints run.
+#      admin drain/undrain + fleet statz over stdin mode, with a
+#      request the backends refuse leaving forwards == submitted; the
+#      same malformed lines answered byte for byte alike by a stdin
+#      hullserved and a stdin hullrouter; then over TCP a batch burst
+#      and a streaming-session burst through the router (both with
+#      exact router-aware scrape reconciliation), a backend killed
+#      mid-fleet with the next burst still all-ok (io retries +
+#      markdown visible in the router's shutdown statz dump), and a
+#      direct multi-target hullload --endpoints run.
 if(NOT HULLSERVED OR NOT HULLLOAD OR NOT HULLROUTER OR NOT WORK_DIR)
   message(FATAL_ERROR
           "need -DHULLSERVED=... -DHULLLOAD=... -DHULLROUTER=... "
@@ -442,11 +445,14 @@ set(ENDPOINTS
 
 # 8a. stdin mode: requests forward to the fleet, wire admin drain /
 # undrain answers inline, and the trailing statz is the merged fleet
-# roll-up in stream order — exactly this session's 3 forwards.
+# roll-up in stream order — exactly this session's 3 forwards. The
+# fourth request reaches a backend, which refuses its "n" before
+# submitting it: no forward is counted for that answer.
 file(WRITE "${WORK_DIR}/router.ndjson"
 "{\"id\":1,\"n\":64,\"workload\":\"disk\",\"seed\":7}
 {\"cmd\":\"markdown\",\"shard\":1}
 {\"id\":2,\"n\":64,\"workload\":\"disk\",\"seed\":8}
+{\"id\":4,\"n\":-5}
 {\"id\":3,\"n\":64,\"workload\":\"circle\",\"seed\":9}
 {\"cmd\":\"markup\",\"shard\":1}
 {\"cmd\":\"statz\"}
@@ -466,6 +472,10 @@ list(LENGTH hulls n_hull)
 if(NOT n_hull EQUAL 3)
   message(FATAL_ERROR
           "cluster smoke: expected 3 forwarded hulls, got ${n_hull}:\n${out}")
+endif()
+if(NOT out MATCHES "\"reject\":\"bad_request\"")
+  message(FATAL_ERROR
+          "cluster smoke: the refused request was not answered:\n${out}")
 endif()
 if(NOT out MATCHES "\"up\":false" OR NOT out MATCHES "\"up\":true")
   message(FATAL_ERROR
@@ -496,7 +506,60 @@ if(NOT out MATCHES "\"backends\":3")
   message(FATAL_ERROR "cluster smoke: fleet summary missing:\n${out}")
 endif()
 
-# 8b. TCP: router on an ephemeral port fronting the same fleet.
+# 8b. One answer per malformed line, whichever front end reads it: the
+# same file sent to a stdin hullserved and to a stdin hullrouter over
+# the live fleet must come back byte for byte the same. Both refuse the
+# first eleven lines in the shared envelope decoder (cluster/protocol.h);
+# the router forwards the last two, and a backend's reject comes back
+# verbatim.
+file(WRITE "${WORK_DIR}/malformed.ndjson"
+"this is not json
+[1,2]
+{\"v\":1e300,\"n\":3}
+{\"cmd\":5,\"n\":3}
+{\"cmd\":\"frobnicate\"}
+{\"cmd\":\"tracez\",\"limit\":-1}
+{\"cmd\":\"tracez\",\"order\":\"fastest\"}
+{\"cmd\":\"session_append\",\"points\":[[0,0]]}
+{\"cmd\":\"session_close\",\"sid\":2.5}
+{\"id\":-5,\"n\":3}
+{\"id\":1,\"n\":3,\"deadline_ms\":-4}
+{\"id\":2,\"n\":-5}
+{\"id\":3,\"points\":[[0,0],[1e400,1],[2,0]]}
+")
+execute_process(
+  COMMAND "${HULLSERVED}" --quiet --shards 1 --threads 2
+  INPUT_FILE "${WORK_DIR}/malformed.ndjson"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE served
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "cluster smoke: hullserved (malformed lines) expected "
+                      "exit 0, got ${rc}\n${err}")
+endif()
+execute_process(
+  COMMAND "${HULLROUTER}" --quiet --endpoints "${ENDPOINTS}" --probe-ms 0
+  INPUT_FILE "${WORK_DIR}/malformed.ndjson"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE routed
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "cluster smoke: hullrouter (malformed lines) expected "
+                      "exit 0, got ${rc}\n${err}")
+endif()
+if(NOT served STREQUAL routed)
+  message(FATAL_ERROR
+          "cluster smoke: hullserved and hullrouter answer malformed lines "
+          "differently:\n--- hullserved\n${served}--- hullrouter\n${routed}")
+endif()
+string(REGEX MATCHALL "\"error\":" errs "${served}")
+list(LENGTH errs n_err)
+if(NOT n_err EQUAL 13 OR served MATCHES "\"status\":")
+  message(FATAL_ERROR
+          "cluster smoke: expected 13 error lines and no status:\n${served}")
+endif()
+
+# 8c. TCP: router on an ephemeral port fronting the same fleet.
 execute_process(
   COMMAND sh -c "'${HULLROUTER}' --port 0 --endpoints '${ENDPOINTS}' \
                  --retries 2 --probe-ms 0 \

@@ -24,12 +24,16 @@
 // Non-ok statuses ("rejected_full", "rejected_shutdown", "expired")
 // omit "hull"/"edge_count". A line the server cannot parse is answered
 // {"error": "..."} and the stream continues — the protocol never goes
-// silent mid-stream. Numbers are range-checked before any cast: "id",
-// "seed", "sid" and "limit" must be integers in [0, 2^53] ("sid" from
-// 1), "alpha" an integer in [1, kMaxAlpha], a generated "n" an integer
-// in [1, kMaxGeneratedPoints], "deadline_ms" a number in
+// silent mid-stream. Each line is first decoded by decode_envelope
+// (cluster/protocol.h), which hullrouter shares, so a malformed line
+// gets the same answer from both; the decoders below read the rest.
+// Numbers are range-checked before any cast by cluster::number_field:
+// "id", "seed", "sid" and "limit" must be integers in [0, 2^53] ("sid"
+// from 1), "alpha" an integer in [1, kMaxAlpha], a generated "n" an
+// integer in [1, kMaxGeneratedPoints], "deadline_ms" a number in
 // [0, kMaxDeadlineMs], and every coordinate finite; anything else is a
-// bad_request error line.
+// bad_request error line. It has no "status", so the router counts no
+// forward for it (cluster/stats.h).
 //
 // The metrics "seed" is serialized as a decimal string: it is a full
 // 64-bit splitmix value and Json numbers are doubles.
@@ -61,7 +65,7 @@
 // — the server answers it with a snapshot of its service-level metrics
 // registry (src/serve/stats.h), in stream order (the statz answer is
 // written after every previously submitted request's response):
-//   {"cmd": "statz"}                         -> {"statz": <iph-stats-v1>}
+//   {"cmd": "statz", "format": "json"?}      -> {"statz": <iph-stats-v1>}
 //   {"cmd": "statz", "format": "prometheus"} -> {"statz_text": "<text>"}
 // An unknown "cmd" is answered {"error": ...} like any bad line.
 //
@@ -100,7 +104,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -116,6 +119,9 @@
 #include "trace/json.h"
 
 namespace iph::tools {
+
+using cluster::kMaxWireInteger;
+using cluster::number_field;
 
 /// Both sides of the protocol speak through this (stdin/stdout or a
 /// connected socket); shared with the cluster router via support/.
@@ -141,35 +147,6 @@ inline bool make_workload(const std::string& name, std::size_t n,
 inline constexpr double kMaxGeneratedPoints = 4194304;
 /// Largest "alpha" (in-place-bridge round budget) a request may pin.
 inline constexpr double kMaxAlpha = 64;
-/// Largest "id" and "seed": 2^53, the last integer a JSON number (a
-/// double) holds exactly.
-inline constexpr double kMaxWireInteger = 9007199254740992.0;
-/// Largest "deadline_ms": one day.
-inline constexpr double kMaxDeadlineMs = 86400000;
-
-/// Read the number `key` of `j` into *out: `dflt` when absent, false
-/// with a message in *err unless it is a number in [lo, hi] (and, with
-/// `integral`, an integer). Every numeric field passes through here
-/// before any cast, so no wire value reaches an out-of-range conversion.
-inline bool number_field(const trace::Json& j, const std::string& key,
-                         double lo, double hi, bool integral, double dflt,
-                         double* out, std::string* err) {
-  const trace::Json* f = j.find(key);
-  if (f == nullptr) {
-    *out = dflt;
-    return true;
-  }
-  const double v = f->is_number() ? f->as_double() : std::nan("");
-  if (!(v >= lo && v <= hi) || (integral && v != std::floor(v))) {
-    char range[96];
-    std::snprintf(range, sizeof range, " in [%.17g, %.17g]", lo, hi);
-    *err = "\"" + key + "\" must be " + (integral ? "an integer" : "a number") +
-           range;
-    return false;
-  }
-  *out = v;
-  return true;
-}
 
 /// Decode inline "points": [x, y] pairs of finite numbers.
 inline bool points_from_json(const trace::Json& pts,
@@ -192,8 +169,9 @@ inline bool points_from_json(const trace::Json& pts,
   return true;
 }
 
-/// Generate the named batch of a line without "points": "n" (an integer
-/// in [1, kMaxGeneratedPoints]), "workload" (default "disk") and "seed".
+/// Generate the named batch of a line without "points": "n" (required,
+/// an integer in [1, kMaxGeneratedPoints]), "workload" (default "disk")
+/// and "seed".
 inline bool generated_from_json(const trace::Json& j,
                                 std::vector<geom::Point2>* out,
                                 std::string* err) {
@@ -201,10 +179,6 @@ inline bool generated_from_json(const trace::Json& j,
   double seed = 0;
   if (!number_field(j, "n", 1, kMaxGeneratedPoints, true, 0, &n, err) ||
       !number_field(j, "seed", 0, kMaxWireInteger, true, 0, &seed, err)) {
-    return false;
-  }
-  if (n == 0) {
-    *err = "line needs \"points\" or a positive \"n\"";
     return false;
   }
   const std::string workload = j.get_str("workload", "disk");
@@ -226,16 +200,12 @@ inline bool request_from_json(const trace::Json& j, serve::Request* out,
     return false;
   }
   *out = serve::Request{};
-  double id = 0;
   double alpha = 0;
   double deadline_ms = 0;
-  if (!number_field(j, "id", 0, kMaxWireInteger, true, 0, &id, err) ||
-      !number_field(j, "alpha", 1, kMaxAlpha, true, 8, &alpha, err) ||
-      !number_field(j, "deadline_ms", 0, kMaxDeadlineMs, false, 0,
-                    &deadline_ms, err)) {
+  if (!cluster::request_fields(j, &out->id, &deadline_ms, err) ||
+      !number_field(j, "alpha", 1, kMaxAlpha, true, 8, &alpha, err)) {
     return false;
   }
-  out->id = static_cast<serve::RequestId>(id);
   out->alpha = static_cast<int>(alpha);
   if (const trace::Json* pts = j.find("points"); pts && pts->is_array()) {
     if (!points_from_json(*pts, &out->points, err)) return false;
@@ -325,16 +295,6 @@ inline trace::Json response_to_json(const serve::Response& r,
   return o;
 }
 
-/// True when `j` is a command line rather than a hull request; the
-/// command name (e.g. "statz") is left in *cmd.
-inline bool wire_command(const trace::Json& j, std::string* cmd) {
-  if (!j.is_object()) return false;
-  const trace::Json* c = j.find("cmd");
-  if (c == nullptr || !c->is_string()) return false;
-  *cmd = c->as_string();
-  return true;
-}
-
 /// Encode a statz answer (see file comment for both shapes).
 inline trace::Json statz_response(const stats::RegistrySnapshot& snap,
                                   bool prometheus) {
@@ -348,29 +308,6 @@ inline trace::Json statz_response(const stats::RegistrySnapshot& snap,
   return o;
 }
 
-/// Decode a tracez command's arguments (after wire_command said
-/// cmd == "tracez"). Absent "limit" means 16; absent "order" means
-/// most-recent-first.
-inline bool tracez_args_from_json(const trace::Json& j, std::size_t* limit,
-                                  bool* slowest, std::string* err) {
-  *limit = 16;
-  *slowest = false;
-  double l = 0;
-  if (!number_field(j, "limit", 0, kMaxWireInteger, true, 16, &l, err)) {
-    return false;
-  }
-  *limit = static_cast<std::size_t>(l);
-  if (const trace::Json* o = j.find("order"); o != nullptr) {
-    if (!o->is_string() || (o->as_string() != "recent" &&
-                            o->as_string() != "slowest")) {
-      *err = "\"order\" must be \"recent\" or \"slowest\"";
-      return false;
-    }
-    *slowest = o->as_string() == "slowest";
-  }
-  return true;
-}
-
 /// Encode a tracez answer from the server's flight recorder.
 inline trace::Json tracez_response(const obs::FlightRecorder& rec,
                                    std::size_t limit, bool slowest) {
@@ -380,8 +317,7 @@ inline trace::Json tracez_response(const obs::FlightRecorder& rec,
   return o;
 }
 
-/// Decode a session_open command line (after wire_command said
-/// cmd == "session_open"). Absent "backend" means kDefault.
+/// Decode a session_open command line's "backend" (absent: kDefault).
 inline bool session_open_from_json(const trace::Json& j,
                                    exec::BackendKind* want,
                                    std::string* err) {
@@ -395,28 +331,13 @@ inline bool session_open_from_json(const trace::Json& j,
   return true;
 }
 
-/// Decode the sid of a session_append / session_close line. A missing
-/// or non-positive "sid" is malformed (-> {"error": ...}), not
-/// "unknown": unknown is reserved for well-formed ids never issued.
-inline bool session_sid_from_json(const trace::Json& j, std::uint64_t* sid,
-                                  std::string* err) {
-  double v = 0;
-  if (j.find("sid") == nullptr ||
-      !number_field(j, "sid", 1, kMaxWireInteger, true, 0, &v, err)) {
-    *err = "session command needs a positive integer \"sid\"";
-    return false;
-  }
-  *sid = static_cast<std::uint64_t>(v);
-  return true;
-}
-
 /// Decode a session_append line: sid plus inline "points" or a named
 /// "n"/"workload"/"seed" batch (same generation as batch requests).
 inline bool session_append_from_json(const trace::Json& j,
                                      std::uint64_t* sid,
                                      std::vector<geom::Point2>* pts,
                                      std::string* err) {
-  if (!session_sid_from_json(j, sid, err)) return false;
+  if (!cluster::sid_field(j, sid, err)) return false;
   pts->clear();
   if (const trace::Json* p = j.find("points"); p && p->is_array()) {
     return points_from_json(*p, pts, err);
