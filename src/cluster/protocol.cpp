@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "trace/json.h"
+
 namespace iph::cluster {
 
 namespace {
@@ -28,6 +30,73 @@ bool choice_field(const Json& j, const char* key, const char* a,
   std::snprintf(msg, sizeof msg, "\"%s\" must be \"%s\" or \"%s\"", key, a, b);
   *err = msg;
   return false;
+}
+
+/// Scan the "points" value at r's position as an array of [x, y] pairs
+/// of JSON numbers, appending each pair to *out when it is given. False
+/// for anything else — other syntax, or with *out a pair that does not
+/// convert to finite doubles — which the tree parser then reads from
+/// where the value starts.
+bool scan_points(trace::JsonReader& r, std::vector<geom::Point2>* out) {
+  if (!r.consume('[')) return false;
+  if (r.consume(']')) return true;
+  do {
+    geom::Point2 q;
+    if (!r.consume('[') || !r.number(out != nullptr ? &q.x : nullptr) ||
+        !r.consume(',') || !r.number(out != nullptr ? &q.y : nullptr) ||
+        !r.consume(']')) {
+      return false;
+    }
+    if (out != nullptr) {
+      if (!std::isfinite(q.x) || !std::isfinite(q.y)) return false;
+      out->push_back(q);
+    }
+  } while (r.consume(','));
+  return r.consume(']');
+}
+
+/// Read a line into out->json through `r` as Json::parse would, except
+/// that a top-level "points" array of number pairs is scanned into
+/// out->points (converted with `keep_points`) and left out of the tree;
+/// false, with the parser's message in r.error(), when it is not JSON.
+bool parse_line(bool keep_points, trace::JsonReader& r, Envelope* out) {
+  Json& j = out->json;
+  if (!r.consume('{')) return r.value(&j) && r.end();
+  j = Json::object();
+  if (!r.consume('}')) {
+    for (;;) {
+      std::string key;
+      if (!r.string(&key)) return false;
+      if (!r.consume(':')) return r.fail("expected ':'");
+      r.skip_ws();
+      const std::size_t at = r.pos();
+      bool scanned = false;
+      if (key == "points") {
+        out->points.clear();
+        scanned = scan_points(r, keep_points ? &out->points : nullptr);
+        out->points_read = scanned;
+        if (!scanned) {
+          out->points.clear();
+          r.seek(at);
+        }
+      }
+      if (scanned) {
+        j.erase(key);  // a "points" the tree read earlier loses to this one
+      } else {
+        Json v;
+        if (!r.value(&v)) return false;
+        j[key] = std::move(v);
+        if (key == "sid") {
+          out->sid_at = at;
+          out->sid_len = r.pos() - at;
+        }
+      }
+      if (r.consume(',')) continue;
+      if (r.consume('}')) break;
+      return r.fail("expected ',' or '}'");
+    }
+  }
+  return r.end();
 }
 
 }  // namespace
@@ -72,12 +141,17 @@ bool sid_field(const Json& j, std::uint64_t* sid, std::string* err) {
 }
 
 bool decode_envelope(std::string_view line, std::size_t admin_shards,
-                     Envelope* out) {
-  Json& j = out->json;
-  std::string err;
-  if (!Json::parse(line, &j, &err)) {
-    return refuse(out, reject::kBadJson, "bad JSON: " + err);
+                     bool keep_points, Envelope* out) {
+  trace::JsonReader r(line);
+  if (!parse_line(keep_points, r, out)) {
+    return refuse(out, reject::kBadJson, "bad JSON: " + r.error());
   }
+  return check_envelope(admin_shards, out);
+}
+
+bool check_envelope(std::size_t admin_shards, Envelope* out) {
+  const Json& j = out->json;
+  std::string err;
   if (!j.is_object()) {
     return refuse(out, reject::kBadRequest, "request is not a JSON object");
   }
@@ -126,6 +200,14 @@ bool decode_envelope(std::string_view line, std::size_t admin_shards,
     return refuse(out, reject::kUnknownCmd, "unknown cmd \"" + name + "\"");
   }
   return ok || refuse(out, reject::kBadRequest, std::move(err));
+}
+
+std::string with_sid(std::string_view line, const Envelope& in,
+                     std::uint64_t sid) {
+  std::string out(line.substr(0, in.sid_at));
+  out += std::to_string(sid);
+  out += line.substr(in.sid_at + in.sid_len);
+  return out;
 }
 
 }  // namespace iph::cluster

@@ -5,6 +5,13 @@
 // rest of a line (points, n, ...) is the backend's to decode
 // (tools/serve_wire.h), through the same number_field.
 //
+// Points never become a tree: decode_envelope walks the line's
+// top-level object itself, scans a "points" array of [x, y] number
+// pairs straight into Envelope::points, and hands every other member
+// (and any other "points" value) to trace::Json's parser at its offset,
+// so a line is accepted or refused, with the same text, exactly as a
+// whole-line Json::parse would.
+//
 // Versioning: every response line carries {"v": 1}. Requests MAY carry
 // "v"; an absent "v" means "any version" (pre-versioning peers keep
 // working), while a request whose "v" exceeds kProtocolVersion is
@@ -30,7 +37,9 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "geom/point.h"
 #include "trace/json.h"
 
 namespace iph::cluster {
@@ -113,9 +122,20 @@ enum class Command {
 
 /// One decoded line; only its command's fields are set.
 struct Envelope {
-  /// The parsed line, read in place or moved on (never copied: a large
-  /// request carries its points here).
+  /// The parsed line, except a "points" member that was scanned into
+  /// `points` instead (read in place or moved on, never copied).
   trace::Json json;
+  /// The line's "points" (the last one, by the parser's last-wins rule)
+  /// was an array of [x, y] number pairs, read into `points` and left
+  /// out of `json`. Otherwise any "points" value is in `json`.
+  bool points_read = false;
+  /// Those pairs, converted, when decode_envelope was asked to keep
+  /// them; a pair that does not convert to finite doubles is left to
+  /// the tree, whose decoder refuses it (serve_wire.h points_from_json).
+  std::vector<geom::Point2> points;
+  /// Byte span of the last "sid" value in the line (see with_sid).
+  std::size_t sid_at = 0;
+  std::size_t sid_len = 0;
   Command cmd = Command::kRequest;
   std::uint64_t id = 0;     ///< kRequest
   double deadline_ms = 0;   ///< kRequest; 0 = none
@@ -131,8 +151,22 @@ struct Envelope {
 
 /// Decode one line into *out; false when it is refused. `admin_shards`
 /// is how many shards "markdown"/"markup" may name: the router's shard
-/// count, or 0 at hullserved, where both are unknown commands.
+/// count, or 0 at hullserved, where both are unknown commands. With
+/// `keep_points` the "points" pairs are converted into out->points (the
+/// backend runs them); without, they are only checked against the JSON
+/// grammar (the router forwards the line's bytes).
 bool decode_envelope(std::string_view line, std::size_t admin_shards,
-                     Envelope* out);
+                     bool keep_points, Envelope* out);
+
+/// The checks decode_envelope makes once the line is parsed, on a line
+/// parsed whole into out->json (the tree path the wire differential
+/// test compares decode_envelope against).
+bool check_envelope(std::size_t admin_shards, Envelope* out);
+
+/// `line`, which decode_envelope read into `in`, with the bytes of its
+/// last "sid" value replaced by `sid` and every other byte unchanged:
+/// the router's rewrite of a session command to its backend's sid.
+std::string with_sid(std::string_view line, const Envelope& in,
+                     std::uint64_t sid);
 
 }  // namespace iph::cluster

@@ -317,7 +317,8 @@ bool Router::Conn::round_trip(std::size_t shard, const std::string& line,
 
 std::string Router::Conn::handle_line(const std::string& line) {
   Envelope in;
-  if (!decode_envelope(line, r_.shard_count(), &in)) {
+  if (!decode_envelope(line, r_.shard_count(), /*keep_points=*/false,
+                       &in)) {
     return make_error(in.reject, in.error).dump();
   }
   switch (in.cmd) {
@@ -347,7 +348,7 @@ std::string Router::Conn::handle_line(const std::string& line) {
     case Command::kSessionClose:
       break;
   }
-  return handle_session_cmd(std::move(in));
+  return handle_session_cmd(in, line);
 }
 
 template <class OnReply>
@@ -469,7 +470,8 @@ std::string Router::Conn::handle_session_open(const std::string& line) {
   return forward(key, /*deadline_ms=*/0, line, judge);
 }
 
-std::string Router::Conn::handle_session_cmd(Envelope in) {
+std::string Router::Conn::handle_session_cmd(const Envelope& in,
+                                             const std::string& line) {
   const std::uint64_t router_sid = in.sid;
   std::size_t shard = 0;
   std::uint64_t backend_sid = 0;
@@ -504,10 +506,9 @@ std::string Router::Conn::handle_session_cmd(Envelope in) {
                           "re-routed")
         .dump();
   }
-  in.json["sid"] = Json(backend_sid);
   const auto t0 = ClockT::now();
   std::string reply;
-  if (!round_trip(shard, in.json.dump(), &reply)) {
+  if (!round_trip(shard, with_sid(line, in, backend_sid), &reply)) {
     r_.mark_down_io(shard);
     r_.stats_.rejected_shard_down.inc();
     return make_error(reject::kShardDown,

@@ -12,6 +12,9 @@
 // (cluster/protocol.h), as hullserved does, so a malformed line gets
 // the same answer from either and never reaches a backend; a backend's
 // own decode error has no "status" and is no forward (cluster/stats.h).
+// The router checks a line's points but keeps none, and forwards the
+// client's bytes: a session command's sid value is spliced to the
+// backend's (with_sid), never re-serialized.
 //
 // Routing (DESIGN.md §13):
 //   * Batch requests consistent-hash on their request id (HashRing over
@@ -122,7 +125,8 @@ class Router {
    private:
     std::string handle_request(const Envelope& in, const std::string& line);
     std::string handle_session_open(const std::string& line);
-    std::string handle_session_cmd(Envelope in);
+    std::string handle_session_cmd(const Envelope& in,
+                                   const std::string& line);
     /// The attempt loop of a stateless line (a request, a session_open):
     /// walk the ring from `key` within the retry budget and `deadline_ms`
     /// (0 = none). `on_reply(shard, &reply)` judges each answer: nullptr

@@ -52,7 +52,12 @@ std::vector<Index> scan(const Point2* p, std::size_t b, std::size_t e) {
 }
 
 /// The global chain from the slices' chains, in x order: the same push
-/// steps over their concatenation.
+/// steps over their concatenation, cut short where they stop popping.
+/// Once pushing a chain's vertex j >= 1 pops nothing, the top two are
+/// c[j-1]'s point and c[j]; c is a strict upper chain (x strictly
+/// increasing, strict right turns), so every later vertex of c would be
+/// appended unchanged, and is, in one insert. The merge then costs its
+/// pops plus one copy, not a push per vertex.
 std::vector<Index> merge(const Point2* p,
                          std::vector<std::vector<Index>>& chains) {
   std::vector<Index> v;
@@ -62,7 +67,15 @@ std::vector<Index> merge(const Point2* p,
       v = std::move(c);
       continue;
     }
-    for (const Index k : c) push(p, v, k);
+    for (std::size_t j = 0; j < c.size(); ++j) {
+      const std::size_t before = v.size();
+      push(p, v, c[j]);
+      if (j >= 1 && v.size() == before + 1) {
+        v.insert(v.end(), c.begin() + static_cast<std::ptrdiff_t>(j) + 1,
+                 c.end());
+        break;
+      }
+    }
   }
   return v;
 }

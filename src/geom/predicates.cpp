@@ -41,16 +41,15 @@ struct Expansion {
   int n = 0;
 
   void grow(double b) noexcept {
-    // grow_expansion: add scalar b, preserving nonoverlap.
+    // grow_expansion with zero elimination: adding zero changes no
+    // expansion, and a zero roundoff component carries nothing.
+    if (b == 0.0) return;
     double q = b;
     int out = 0;
     for (int i = 0; i < n; ++i) {
       const TwoDouble s = two_sum(q, c[i]);
       q = s.hi;
-      c[out] = s.lo;
-      // Keep zero components: dropping them is also fine, but keeping the
-      // loop branch-free is simpler and n stays <= 24 for our uses.
-      ++out;
+      if (s.lo != 0.0) c[out++] = s.lo;
     }
     c[out++] = q;
     n = out;
@@ -69,6 +68,9 @@ struct Expansion {
 // differences are computed exactly as 2-expansions, the two products of
 // 2-expansions contribute 8 exact partial products each, and the final
 // expansion sum is exact; hence the sign is exact for all double inputs.
+// A partial product with a zero factor is skipped: when every
+// difference is exact (integer inputs, the collinear family) only the
+// two leading products remain.
 int cross_diff_exact(const Point2& a, const Point2& b, const Point2& c,
                      const Point2& d) noexcept {
   const TwoDouble l1 = two_diff(b.x, a.x);
@@ -77,24 +79,20 @@ int cross_diff_exact(const Point2& a, const Point2& b, const Point2& c,
   const TwoDouble r2 = two_diff(d.x, c.x);
 
   Expansion e;
-  const double ls[2] = {l1.lo, l1.hi};
-  const double lt[2] = {l2.lo, l2.hi};
-  const double rs[2] = {r1.lo, r1.hi};
-  const double rt[2] = {r2.lo, r2.hi};
-  for (double u : ls) {
-    for (double v : lt) {
-      const TwoDouble p = two_product(u, v);
-      e.grow(p.lo);
-      e.grow(p.hi);
+  const auto add = [&e](TwoDouble s, TwoDouble t, double sign) {
+    const double ss[2] = {s.lo, s.hi};
+    const double ts[2] = {t.lo, t.hi};
+    for (const double u : ss) {
+      for (const double v : ts) {
+        if (u == 0.0 || v == 0.0) continue;
+        const TwoDouble p = two_product(u, v);
+        e.grow(sign * p.lo);
+        e.grow(sign * p.hi);
+      }
     }
-  }
-  for (double u : rs) {
-    for (double v : rt) {
-      const TwoDouble p = two_product(u, v);
-      e.grow(-p.lo);
-      e.grow(-p.hi);
-    }
-  }
+  };
+  add(l1, l2, 1.0);
+  add(r1, r2, -1.0);
   return e.sign();
 }
 

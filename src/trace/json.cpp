@@ -1,8 +1,10 @@
 #include "trace/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace iph::trace {
 
@@ -46,164 +48,185 @@ void append_number(std::string& out, double d) {
     return;
   }
   // Integers (the common case: step/work counters) print without a
-  // fraction; doubles keep enough digits to round-trip.
-  if (d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", d);
-    out += buf;
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", d);
-    out += buf;
-  }
+  // fraction; doubles keep enough digits to round-trip. to_chars with a
+  // precision is defined as printf's %.0f / %.17g, byte for byte.
+  char buf[32];
+  const bool integral =
+      d == std::floor(d) && std::fabs(d) < 9.007199254740992e15;
+  const std::to_chars_result r =
+      integral ? std::to_chars(buf, buf + sizeof buf, d,
+                               std::chars_format::fixed, 0)
+               : std::to_chars(buf, buf + sizeof buf, d,
+                               std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
-struct Parser {
-  std::string_view t;
-  std::size_t i = 0;
-  std::string err;
+bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
 
-  bool fail(const char* msg) {
-    err = std::string(msg) + " at byte " + std::to_string(i);
-    return false;
-  }
-  void skip_ws() {
-    while (i < t.size() && (t[i] == ' ' || t[i] == '\t' || t[i] == '\n' ||
-                            t[i] == '\r')) {
-      ++i;
-    }
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (i < t.size() && t[i] == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
+/// One past the digits starting at p (p itself when there are none).
+const char* digits_end(const char* p, const char* end) noexcept {
+  while (p != end && is_digit(*p)) ++p;
+  return p;
+}
 
-  bool parse_string(std::string* out) {
-    if (!consume('"')) return fail("expected string");
-    out->clear();
-    while (i < t.size()) {
-      char c = t[i++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (i >= t.size()) return fail("bad escape");
-        char e = t[i++];
-        switch (e) {
-          case '"': *out += '"'; break;
-          case '\\': *out += '\\'; break;
-          case '/': *out += '/'; break;
-          case 'n': *out += '\n'; break;
-          case 'r': *out += '\r'; break;
-          case 't': *out += '\t'; break;
-          case 'b': *out += '\b'; break;
-          case 'f': *out += '\f'; break;
-          case 'u': {
-            if (i + 4 > t.size()) return fail("bad \\u escape");
-            unsigned v = 0;
-            for (int k = 0; k < 4; ++k) {
-              char h = t[i++];
-              v <<= 4;
-              if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') v |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') v |= static_cast<unsigned>(h - 'A' + 10);
-              else return fail("bad hex digit");
-            }
-            // Only BMP escapes are produced by our writer; encode UTF-8.
-            if (v < 0x80) {
-              *out += static_cast<char>(v);
-            } else if (v < 0x800) {
-              *out += static_cast<char>(0xC0 | (v >> 6));
-              *out += static_cast<char>(0x80 | (v & 0x3F));
-            } else {
-              *out += static_cast<char>(0xE0 | (v >> 12));
-              *out += static_cast<char>(0x80 | ((v >> 6) & 0x3F));
-              *out += static_cast<char>(0x80 | (v & 0x3F));
-            }
-            break;
-          }
-          default:
-            return fail("bad escape");
-        }
-      } else {
-        *out += c;
-      }
-    }
-    return fail("unterminated string");
+/// The end of the JSON number that starts at p, or null when none does.
+const char* number_end(const char* p, const char* end) noexcept {
+  if (p != end && *p == '-') ++p;
+  if (p == end || !is_digit(*p)) return nullptr;
+  p = *p == '0' ? p + 1 : digits_end(p, end);
+  if (p != end && *p == '.') {
+    const char* f = digits_end(p + 1, end);
+    if (f == p + 1) return p;  // "1." is the number 1, then a '.'
+    p = f;
   }
-
-  bool parse_value(Json* out) {
-    skip_ws();
-    if (i >= t.size()) return fail("unexpected end");
-    char c = t[i];
-    if (c == '{') {
-      ++i;
-      *out = Json::object();
-      skip_ws();
-      if (consume('}')) return true;
-      for (;;) {
-        std::string key;
-        if (!parse_string(&key)) return false;
-        if (!consume(':')) return fail("expected ':'");
-        Json v;
-        if (!parse_value(&v)) return false;
-        (*out)[key] = std::move(v);
-        if (consume(',')) continue;
-        if (consume('}')) return true;
-        return fail("expected ',' or '}'");
-      }
-    }
-    if (c == '[') {
-      ++i;
-      *out = Json::array();
-      skip_ws();
-      if (consume(']')) return true;
-      for (;;) {
-        Json v;
-        if (!parse_value(&v)) return false;
-        out->push_back(std::move(v));
-        if (consume(',')) continue;
-        if (consume(']')) return true;
-        return fail("expected ',' or ']'");
-      }
-    }
-    if (c == '"') {
-      std::string s;
-      if (!parse_string(&s)) return false;
-      *out = Json(std::move(s));
-      return true;
-    }
-    if (t.compare(i, 4, "true") == 0) {
-      i += 4;
-      *out = Json(true);
-      return true;
-    }
-    if (t.compare(i, 5, "false") == 0) {
-      i += 5;
-      *out = Json(false);
-      return true;
-    }
-    if (t.compare(i, 4, "null") == 0) {
-      i += 4;
-      *out = Json();
-      return true;
-    }
-    // number
-    {
-      const char* begin = t.data() + i;
-      char* end = nullptr;
-      const double d = std::strtod(begin, &end);
-      if (end == begin) return fail("expected value");
-      i += static_cast<std::size_t>(end - begin);
-      *out = Json(d);
-      return true;
-    }
+  if (p != end && (*p == 'e' || *p == 'E')) {
+    const char* x = p + 1;
+    if (x != end && (*x == '+' || *x == '-')) ++x;
+    const char* f = digits_end(x, end);
+    if (f != x) p = f;
   }
-};
+  return p;
+}
 
 }  // namespace
+
+bool JsonReader::number(double* out) {
+  skip_ws();
+  const char* b = t_.data() + i_;
+  const char* e = number_end(b, t_.data() + t_.size());
+  if (e == nullptr) return false;
+  if (out != nullptr &&
+      std::from_chars(b, e, *out).ec != std::errc{}) {
+    // Out of range: strtod gives +-inf above it (for the caller's range
+    // and finiteness checks to refuse) and the rounded subnormal or
+    // zero below.
+    *out = std::strtod(std::string(b, e).c_str(), nullptr);
+  }
+  i_ += static_cast<std::size_t>(e - b);
+  return true;
+}
+
+bool JsonReader::fail(const char* msg) {
+  err_ = std::string(msg) + " at byte " + std::to_string(i_);
+  return false;
+}
+
+bool JsonReader::end() {
+  skip_ws();
+  return i_ == t_.size() || fail("trailing data");
+}
+
+bool JsonReader::string(std::string* out) {
+  if (!consume('"')) return fail("expected string");
+  out->clear();
+  while (i_ < t_.size()) {
+    char c = t_[i_++];
+    if (c == '"') return true;
+    if (c == '\\') {
+      if (i_ >= t_.size()) return fail("bad escape");
+      char e = t_[i_++];
+      switch (e) {
+        case '"': *out += '"'; break;
+        case '\\': *out += '\\'; break;
+        case '/': *out += '/'; break;
+        case 'n': *out += '\n'; break;
+        case 'r': *out += '\r'; break;
+        case 't': *out += '\t'; break;
+        case 'b': *out += '\b'; break;
+        case 'f': *out += '\f'; break;
+        case 'u': {
+          if (i_ + 4 > t_.size()) return fail("bad \\u escape");
+          unsigned v = 0;
+          for (int k = 0; k < 4; ++k) {
+            char h = t_[i_++];
+            v <<= 4;
+            if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') v |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') v |= static_cast<unsigned>(h - 'A' + 10);
+            else return fail("bad hex digit");
+          }
+          // Only BMP escapes are produced by our writer; encode UTF-8.
+          if (v < 0x80) {
+            *out += static_cast<char>(v);
+          } else if (v < 0x800) {
+            *out += static_cast<char>(0xC0 | (v >> 6));
+            *out += static_cast<char>(0x80 | (v & 0x3F));
+          } else {
+            *out += static_cast<char>(0xE0 | (v >> 12));
+            *out += static_cast<char>(0x80 | ((v >> 6) & 0x3F));
+            *out += static_cast<char>(0x80 | (v & 0x3F));
+          }
+          break;
+        }
+        default:
+          return fail("bad escape");
+      }
+    } else {
+      *out += c;
+    }
+  }
+  return fail("unterminated string");
+}
+
+bool JsonReader::value(Json* out) {
+  skip_ws();
+  if (i_ >= t_.size()) return fail("unexpected end");
+  char c = t_[i_];
+  if (c == '{') {
+    ++i_;
+    *out = Json::object();
+    if (consume('}')) return true;
+    for (;;) {
+      std::string key;
+      if (!string(&key)) return false;
+      if (!consume(':')) return fail("expected ':'");
+      Json v;
+      if (!value(&v)) return false;
+      (*out)[key] = std::move(v);
+      if (consume(',')) continue;
+      if (consume('}')) return true;
+      return fail("expected ',' or '}'");
+    }
+  }
+  if (c == '[') {
+    ++i_;
+    *out = Json::array();
+    if (consume(']')) return true;
+    for (;;) {
+      Json v;
+      if (!value(&v)) return false;
+      out->push_back(std::move(v));
+      if (consume(',')) continue;
+      if (consume(']')) return true;
+      return fail("expected ',' or ']'");
+    }
+  }
+  if (c == '"') {
+    std::string s;
+    if (!string(&s)) return false;
+    *out = Json(std::move(s));
+    return true;
+  }
+  if (t_.compare(i_, 4, "true") == 0) {
+    i_ += 4;
+    *out = Json(true);
+    return true;
+  }
+  if (t_.compare(i_, 5, "false") == 0) {
+    i_ += 5;
+    *out = Json(false);
+    return true;
+  }
+  if (t_.compare(i_, 4, "null") == 0) {
+    i_ += 4;
+    *out = Json();
+    return true;
+  }
+  double d = 0;
+  if (!number(&d)) return fail("expected value");
+  *out = Json(d);
+  return true;
+}
 
 Json& Json::operator[](std::string_view key) {
   kind_ = Kind::kObject;
@@ -294,18 +317,21 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
+bool Json::erase(std::string_view key) {
+  for (auto it = obj_.begin(); it != obj_.end(); ++it) {
+    if (it->first == key) {
+      obj_.erase(it);
+      return true;
+    }
+  }
+  return false;
+}
+
 bool Json::parse(std::string_view text, Json* out, std::string* err) {
-  Parser p{text, 0, {}};
-  if (!p.parse_value(out)) {
-    if (err != nullptr) *err = p.err;
-    return false;
-  }
-  p.skip_ws();
-  if (p.i != text.size()) {
-    if (err != nullptr) *err = "trailing data at byte " + std::to_string(p.i);
-    return false;
-  }
-  return true;
+  JsonReader r(text);
+  if (r.value(out) && r.end()) return true;
+  if (err != nullptr) *err = r.error();
+  return false;
 }
 
 }  // namespace iph::trace

@@ -1,9 +1,15 @@
 // Minimal JSON value: ordered objects, arrays, numbers, strings, bools,
 // null, with a writer and a recursive-descent parser. This exists so the
-// trace/report/claim-fit stack stays dependency-free (the container bakes
-// no JSON library); it supports exactly the subset the subsystem emits —
-// finite numbers, UTF-8 strings passed through byte-wise with control
+// trace/report/claim-fit stack stays dependency-free (no JSON library is
+// linked); it supports exactly the subset the subsystem emits — finite
+// numbers, UTF-8 strings passed through byte-wise with control
 // characters escaped.
+//
+// Numbers are strict JSON: the parser takes exactly
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? (no hex, no leading
+// '+', '0' or '.', no inf/nan) and converts it with std::from_chars; a
+// magnitude beyond the double range reads as strtod reads it (1e400 is
+// +inf), for the caller's range checks to refuse.
 //
 // Objects preserve insertion order (reports are diffed as text; key order
 // churn would make every diff noise) and key lookup is linear — fine for
@@ -86,6 +92,9 @@ class Json {
   /// Serialize. indent > 0 pretty-prints with that many spaces per level.
   std::string dump(int indent = 0) const;
 
+  /// Remove member `key` of an object; false when it has none.
+  bool erase(std::string_view key);
+
   /// Parse `text`; on failure returns false and sets *err (if non-null)
   /// to a message with the byte offset.
   static bool parse(std::string_view text, Json* out, std::string* err);
@@ -99,6 +108,55 @@ class Json {
   std::string str_;
   std::vector<Json> arr_;
   std::vector<std::pair<std::string, Json>> obj_;
+};
+
+/// A cursor over a JSON text, for a caller that walks a document itself
+/// (cluster::decode_envelope reads a line's top-level object member by
+/// member). It is the parser behind Json::parse: each call reads one
+/// token by parse()'s rules, and a failure records parse()'s text, with
+/// the byte offset into the whole text.
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : t_(text) {}
+
+  std::size_t pos() const noexcept { return i_; }
+  void seek(std::size_t pos) noexcept { i_ = pos; }
+  /// Why the last call failed.
+  const std::string& error() const noexcept { return err_; }
+
+  void skip_ws() noexcept {
+    while (i_ < t_.size() && (t_[i_] == ' ' || t_[i_] == '\t' ||
+                              t_[i_] == '\n' || t_[i_] == '\r')) {
+      ++i_;
+    }
+  }
+  /// Skip whitespace, then take `c` when it is next.
+  bool consume(char c) noexcept {
+    skip_ws();
+    if (i_ < t_.size() && t_[i_] == c) {
+      ++i_;
+      return true;
+    }
+    return false;
+  }
+  /// A number, after whitespace (the grammar in the file comment): the
+  /// nearest double in *out, or only checked when out is null. False,
+  /// recording nothing, when none starts there.
+  bool number(double* out);
+  /// A string, after whitespace.
+  bool string(std::string* out);
+  /// Any value, after whitespace.
+  bool value(Json* out);
+  /// Skip whitespace; false, recording "trailing data", unless the text
+  /// ends there.
+  bool end();
+  /// Record "<msg> at byte <pos>"; returns false.
+  bool fail(const char* msg);
+
+ private:
+  std::string_view t_;
+  std::size_t i_ = 0;
+  std::string err_;
 };
 
 }  // namespace iph::trace

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -259,16 +260,15 @@ TEST(Protocol, StructuredErrorsCarryReasonAndVersion) {
 }
 
 TEST(Protocol, PinnedVersionIsPrintedNeverCast) {
-  // strtod reads 1e400 as inf and accepts nan; none of the three may
-  // reach an integer conversion on its way into the reject text.
+  // A number beyond the double range reads as inf; neither may reach an
+  // integer conversion on its way into the reject text.
   const std::pair<const char*, const char*> lines[] = {
       {R"({"v":1e300,"n":3})", "1.0000000000000001e+300"},
       {R"({"v":1e400,"n":3})", "inf"},
-      {R"({"v":nan,"n":3})", "nan"},
   };
   for (const auto& [line, printed] : lines) {
     Envelope in;
-    EXPECT_FALSE(decode_envelope(line, 0, &in)) << line;
+    EXPECT_FALSE(decode_envelope(line, 0, true, &in)) << line;
     EXPECT_EQ(in.reject, reject::kVersion) << line;
     EXPECT_EQ(in.error, std::string("request pins protocol version ") +
                             printed + "; this server speaks 1")
@@ -278,24 +278,26 @@ TEST(Protocol, PinnedVersionIsPrintedNeverCast) {
 
 TEST(Protocol, EnvelopeClassifiesCommandsAndRangeChecksTheirFields) {
   Envelope in;
-  ASSERT_TRUE(decode_envelope(R"({"id":7,"deadline_ms":2.5,"n":4})", 0, &in));
+  ASSERT_TRUE(
+      decode_envelope(R"({"id":7,"deadline_ms":2.5,"n":4})", 0, true, &in));
   EXPECT_EQ(in.cmd, Command::kRequest);
   EXPECT_EQ(in.id, 7u);
   EXPECT_EQ(in.deadline_ms, 2.5);
   EXPECT_EQ(in.json.get_num("n"), 4);  // the rest is the backend's
   ASSERT_TRUE(decode_envelope(R"({"cmd":"statz","format":"prometheus"})", 0,
-                              &in));
+                              true, &in));
   EXPECT_EQ(in.cmd, Command::kStatz);
   EXPECT_TRUE(in.prometheus);
   ASSERT_TRUE(decode_envelope(R"({"cmd":"tracez","limit":0,"order":"slowest"})",
-                              0, &in));
+                              0, true, &in));
   EXPECT_EQ(in.cmd, Command::kTracez);
   EXPECT_EQ(in.limit, 0u);
   EXPECT_TRUE(in.slowest);
-  ASSERT_TRUE(decode_envelope(R"({"cmd":"session_close","sid":9})", 0, &in));
+  ASSERT_TRUE(
+      decode_envelope(R"({"cmd":"session_close","sid":9})", 0, true, &in));
   EXPECT_EQ(in.cmd, Command::kSessionClose);
   EXPECT_EQ(in.sid, 9u);
-  ASSERT_TRUE(decode_envelope(R"({"cmd":"markup","shard":2})", 3, &in));
+  ASSERT_TRUE(decode_envelope(R"({"cmd":"markup","shard":2})", 3, true, &in));
   EXPECT_EQ(in.cmd, Command::kMarkup);
   EXPECT_EQ(in.shard, 2u);
 
@@ -303,19 +305,95 @@ TEST(Protocol, EnvelopeClassifiesCommandsAndRangeChecksTheirFields) {
   const std::pair<const char*, std::size_t> unknown[] = {
       {R"({"cmd":"markdown","shard":0})", 0}, {R"({"cmd":"frobnicate"})", 3}};
   for (const auto& [line, shards] : unknown) {
-    EXPECT_FALSE(decode_envelope(line, shards, &in)) << line;
+    EXPECT_FALSE(decode_envelope(line, shards, true, &in)) << line;
     EXPECT_EQ(in.reject, reject::kUnknownCmd) << line;
   }
-  EXPECT_FALSE(decode_envelope("{oops", 3, &in));
+  EXPECT_FALSE(decode_envelope("{oops", 3, true, &in));
   EXPECT_EQ(in.reject, reject::kBadJson);
   for (const char* line : {
            "[1,2]", R"({"cmd":5,"n":3})", R"({"cmd":"statz","format":"xml"})",
            R"({"cmd":"tracez","order":"fastest"})",
            R"({"cmd":"markdown","shard":3})", R"({"n":3,"deadline_ms":"x"})"}) {
-    EXPECT_FALSE(decode_envelope(line, 3, &in)) << line;
+    EXPECT_FALSE(decode_envelope(line, 3, true, &in)) << line;
     EXPECT_EQ(in.reject, reject::kBadRequest) << line;
     EXPECT_FALSE(in.error.empty()) << line;
   }
+}
+
+// The parser reads JSON numbers only. Hex, a leading '+', a leading
+// zero, a bare '.' on either side and inf/nan words are bad_json, with
+// the text a whole-line Json::parse gives, from either front end.
+TEST(Protocol, NonJsonNumbersAreBadJson) {
+  for (const char* line :
+       {R"({"id":0x10,"n":3})", R"({"id":+7,"n":3})",
+        R"({"id":7,"n":3,"v":-infinity})", R"({"id":01,"n":3})",
+        R"({"id":1.,"n":3})", R"({"points":[[.5,0]]})",
+        R"({"v":nan,"n":3})", R"({"cmd":"session_append","sid":1e,"n":3})"}) {
+    Json j;
+    std::string err;
+    EXPECT_FALSE(Json::parse(line, &j, &err)) << line;
+    for (const bool keep_points : {true, false}) {
+      Envelope in;
+      EXPECT_FALSE(decode_envelope(line, 0, keep_points, &in)) << line;
+      EXPECT_EQ(in.reject, reject::kBadJson) << line;
+      EXPECT_EQ(in.error, "bad JSON: " + err) << line;
+    }
+  }
+  // What JSON allows still reads exactly; beyond the double range is inf.
+  Envelope in;
+  ASSERT_TRUE(decode_envelope(
+      R"({"id":0,"points":[[-0,0.5],[1E2,-2.5e-3],[1e400,3]]})", 0, true,
+      &in));
+  EXPECT_FALSE(in.points_read);  // inf is the tree decoder's to refuse
+  ASSERT_TRUE(decode_envelope(
+      R"({"id":0,"points":[[-0,0.5],[1E2,-2.5e-3],[4.9e-324,1e-400]]})", 0,
+      true, &in));
+  ASSERT_TRUE(in.points_read);
+  ASSERT_EQ(in.points.size(), 3u);
+  EXPECT_TRUE(std::signbit(in.points[0].x));
+  EXPECT_EQ(in.points[1].x, 100.0);
+  EXPECT_EQ(in.points[1].y, -2.5e-3);
+  EXPECT_EQ(in.points[2].x, 4.9e-324);
+  EXPECT_EQ(in.points[2].y, 0.0);
+}
+
+// "points" is scanned into Envelope::points and kept out of the tree;
+// any other value (and a later duplicate, by last-wins) stays a tree.
+TEST(Protocol, PointsAreScannedAsideAndTheSidSpanIsSpliced) {
+  Envelope in;
+  ASSERT_TRUE(decode_envelope(R"({ "id" : 4, "points" : [ [0,0] , [1,2]] })",
+                              0, true, &in));
+  EXPECT_TRUE(in.points_read);
+  EXPECT_EQ(in.points, (std::vector<geom::Point2>{{0, 0}, {1, 2}}));
+  EXPECT_EQ(in.json.find("points"), nullptr);
+  EXPECT_EQ(in.id, 4u);
+  // The router checks the pairs but keeps none.
+  ASSERT_TRUE(decode_envelope(R"({"points":[[0,0],[1,2]]})", 2, false, &in));
+  EXPECT_TRUE(in.points_read);
+  EXPECT_TRUE(in.points.empty());
+  // Last wins, whichever way each copy was read.
+  ASSERT_TRUE(decode_envelope(R"({"points":[[1,2]],"points":5,"n":3})", 0,
+                              true, &in));
+  EXPECT_FALSE(in.points_read);
+  EXPECT_TRUE(in.points.empty());
+  EXPECT_EQ(in.json.get_num("points"), 5);
+  ASSERT_TRUE(decode_envelope(R"({"points":[[1,2,3]],"points":[[1,2]]})", 0,
+                              true, &in));
+  EXPECT_TRUE(in.points_read);
+  EXPECT_EQ(in.json.find("points"), nullptr);
+  EXPECT_EQ(in.points, (std::vector<geom::Point2>{{1, 2}}));
+  ASSERT_TRUE(decode_envelope(R"({"points":[],"n":3})", 0, true, &in));
+  EXPECT_TRUE(in.points_read);
+  EXPECT_TRUE(in.points.empty());
+
+  // The router forwards the client's bytes with only the last sid's
+  // value replaced.
+  const std::string line =
+      R"({"cmd":"session_append","sid":3,"points":[[0,0]], "sid" : 12.0 })";
+  ASSERT_TRUE(decode_envelope(line, 2, false, &in));
+  EXPECT_EQ(in.sid, 12u);
+  EXPECT_EQ(with_sid(line, in, 987),
+            R"({"cmd":"session_append","sid":3,"points":[[0,0]], "sid" : 987 })");
 }
 
 // ---------------------------------------------------------------------------
@@ -780,7 +858,8 @@ TEST(Router, OutOfRangeIntegerFieldsAreBadRequestsAndNeverForwarded) {
   // hullserved sends for the same line.
   const auto decoder_answer = [&](const char* line) {
     Envelope in;
-    EXPECT_FALSE(decode_envelope(line, router.shard_count(), &in)) << line;
+    EXPECT_FALSE(decode_envelope(line, router.shard_count(), false, &in))
+        << line;
     return make_error(in.reject, in.error).dump();
   };
   for (const char* line : bad) {
@@ -792,8 +871,7 @@ TEST(Router, OutOfRangeIntegerFieldsAreBadRequestsAndNeverForwarded) {
     EXPECT_EQ(reply.get_str("reject"), reject::kBadRequest) << line;
   }
   // A version too new to speak is a version reject, however large.
-  for (const char* line : {R"({"v":1e300,"n":16})", R"({"v":1e400,"n":16})",
-                           R"({"v":nan,"n":16})"}) {
+  for (const char* line : {R"({"v":1e300,"n":16})", R"({"v":1e400,"n":16})"}) {
     const std::string raw = conn.handle_line(line);
     EXPECT_EQ(raw, decoder_answer(line));
     Json reply;

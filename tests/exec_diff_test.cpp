@@ -458,6 +458,28 @@ TEST(ExecDiff, ExactPresortedOutputsWithDuplicatesAtEveryWidth) {
   }
 }
 
+// The chunk merge stops pushing a chunk's chain once a vertex past its
+// first pops nothing (native_backend.cpp merge). Just above the
+// parallel scan cutoff (2^14 points, 2^13 per chunk), each chunk's
+// chain on a disk or convex_k starts at its slab's leftmost point,
+// usually under the hull, so later vertices pop it: a merge that
+// stopped after the first vertex would keep it.
+TEST(ExecDiff, MergePopsChunkPrefixesAtEveryWidth) {
+  for (const std::size_t n : {std::size_t{16385}, std::size_t{24577},
+                              std::size_t{32769}}) {
+    for (const geom::Family2D f :
+         {geom::Family2D::kDisk, geom::Family2D::kConvexK}) {
+      for (const std::uint64_t seed : {3u, 4u}) {
+        std::vector<geom::Point2> pts = geom::make2d(f, n, seed);
+        geom::sort_lex(pts);
+        expect_exact(pts, /*presorted=*/true,
+                     std::string(geom::family_name(f)) + " merge n=" +
+                         std::to_string(n) + " seed " + std::to_string(seed));
+      }
+    }
+  }
+}
+
 TEST(ExecDiff, LexSortIsTheXYIndexOrder) {
   // Mixed signs, both zeros, subnormals, infinities and integers — every
   // way the radix keys could order apart from lex_less, ties by index.

@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "geom/point.h"
 #include "geom/predicates.h"
@@ -131,6 +132,75 @@ TEST(CrossDiffSign, ExactBelowTheFilterScale) {
         << "draw " << i;
   }
   for (const int count : signs) EXPECT_GT(count, 0);
+}
+
+TEST(CrossDiffSign, ExactDifferencesOnCollinearIntegers) {
+  // Integer coordinates below 2^40, so every coordinate difference is
+  // exact and the exact path skips the zero low parts. Two draws in
+  // three put c on the line a->b and d - c parallel to it: the
+  // determinant is 0, which the static filter never certifies. The
+  // third has b - a = (p, q) and c - a = (r, s) with p*s - q*r = +-1
+  // and p, q near 2^30: the products near 2^60 round to the same
+  // double, so only their own low parts decide the sign. Each sign must
+  // be the __int128 determinant's.
+  using K = std::array<std::int64_t, 2>;
+  const auto pt = [](const K& v) {
+    return Point2{static_cast<double>(v[0]), static_cast<double>(v[1])};
+  };
+  const auto sign = [](const K& a, const K& b, const K& c, const K& d) {
+    const __int128 det =
+        static_cast<__int128>(b[0] - a[0]) * (d[1] - c[1]) -
+        static_cast<__int128>(b[1] - a[1]) * (d[0] - c[0]);
+    return det > 0 ? 1 : det < 0 ? -1 : 0;
+  };
+  /// (r, s) with p*s - q*r = 1 for coprime p, q > 0 (extended Euclid).
+  const auto bezout = [](std::int64_t p, std::int64_t q) {
+    std::int64_t r0 = p, r1 = q, s0 = 1, s1 = 0, t0 = 0, t1 = 1;
+    while (r1 != 0) {
+      const std::int64_t k = r0 / r1;
+      r0 -= k * r1;
+      std::swap(r0, r1);
+      s0 -= k * s1;
+      std::swap(s0, s1);
+      t0 -= k * t1;
+      std::swap(t0, t1);
+    }
+    return r0 == 1 ? K{-t0, s0} : K{0, 0};  // p*s0 + q*t0 = 1
+  };
+  support::Rng rng(17, 5);
+  const auto k = [&](int b) {
+    return static_cast<std::int64_t>(rng.next_u64() >> (63 - b)) -
+           (std::int64_t{1} << b);
+  };
+  int signs[3] = {0, 0, 0};
+  for (int i = 0; i < 30000; ++i) {
+    const K a{k(39), k(39)};
+    K b, c, d;
+    if (i % 3 == 0) {
+      const std::int64_t p = (std::int64_t{1} << 30) + k(20);
+      const std::int64_t q = (std::int64_t{1} << 30) + k(20);
+      const K rs = bezout(p, q);
+      if (rs == K{0, 0}) continue;  // not coprime
+      const std::int64_t flip = i % 2 == 0 ? 1 : -1;
+      b = {a[0] + p, a[1] + q};
+      c = {a[0] + flip * rs[0], a[1] + flip * rs[1]};
+      d = {c[0] + p, c[1] + q + flip};
+    } else {
+      const int bits = 8 + i % 32;  // direction magnitudes 2^7 .. 2^38
+      const K dir{k(bits) >> 1, k(bits) >> 1};
+      const std::int64_t m = static_cast<std::int64_t>(rng.next_u64() % 3) - 1;
+      b = {a[0] + dir[0], a[1] + dir[1]};
+      c = {a[0] + m * dir[0], a[1] + m * dir[1]};
+      d = {c[0] + 2 * dir[0], c[1] + 2 * dir[1]};
+    }
+    const int want3 = sign(a, b, a, c);
+    const int want4 = sign(a, b, c, d);
+    ++signs[want3 + 1];
+    EXPECT_EQ(orient2d(pt(a), pt(b), pt(c)), want3) << "draw " << i;
+    EXPECT_EQ(cross_diff_sign(pt(a), pt(b), pt(c), pt(d)), want4)
+        << "draw " << i;
+  }
+  for (const int count : signs) EXPECT_GT(count, 1000);
 }
 
 TEST(BelowLine, Basics) {

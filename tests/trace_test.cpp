@@ -1,6 +1,7 @@
 // The iph::trace observability layer:
 //   * claim-fit shapes and band semantics (trace/fit.h),
-//   * JSON round-tripping (trace/json.h),
+//   * JSON round-tripping, strict number parsing, and number writing
+//     byte-identical to the printf forms it replaced (trace/json.h),
 //   * recorder phase-tree aggregation and its determinism contract —
 //     everything but wall-clock is a pure function of (input, seed),
 //     bit-identical across hardware thread counts,
@@ -13,8 +14,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/fallback2d.h"
@@ -26,6 +31,7 @@
 #include "obs/chrome_export.h"
 #include "pram/cells.h"
 #include "pram/machine.h"
+#include "support/rng.h"
 #include "trace/fit.h"
 #include "trace/json.h"
 #include "trace/recorder.h"
@@ -150,6 +156,91 @@ TEST(Json, ParseRejectsGarbage) {
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(Json::parse("[1, 2", &out, &err));
   EXPECT_FALSE(Json::parse("", &out, &err));
+}
+
+TEST(Json, NumbersAreStrictJson) {
+  Json out;
+  std::string err;
+  for (const char* bad : {"0x10", "+7", "01", "1.", ".5", "-", "1e", "1e+",
+                          "nan", "-infinity", "Infinity", "[1,-.5]"}) {
+    EXPECT_FALSE(Json::parse(bad, &out, &err)) << bad;
+  }
+  const std::pair<const char*, double> good[] = {
+      {"0", 0.0},         {"-0", -0.0},      {"12.5e-1", 1.25},
+      {"1E2", 100.0},     {"2e+2", 200.0},   {"0.1", 0.1},
+      {"4.9e-324", 4.9e-324}, {"1e-400", 0.0},
+      {"-1.7976931348623157e308", -1.7976931348623157e308}};
+  for (const auto& [text, want] : good) {
+    ASSERT_TRUE(Json::parse(text, &out, &err)) << text << ": " << err;
+    const double got = out.as_double();
+    EXPECT_EQ(std::memcmp(&want, &got, sizeof want), 0) << text;
+  }
+  // Beyond the double range reads as strtod reads it, for range checks
+  // to refuse.
+  ASSERT_TRUE(Json::parse("-1e400", &out, &err));
+  EXPECT_EQ(out.as_double(), -HUGE_VAL);
+
+  // from_chars converts every token to strtod's double, bit for bit:
+  // round-trip forms of any finite double, and long digit strings with
+  // exponents that round.
+  support::Rng rng(31, 2);
+  for (int i = 0; i < 20000; ++i) {
+    char tok[80];
+    const std::uint64_t bits = rng.next_u64();
+    if (i % 2 == 0) {
+      double d;
+      std::memcpy(&d, &bits, sizeof d);
+      if (!std::isfinite(d)) continue;
+      std::snprintf(tok, sizeof tok, "%.17g", d);
+    } else {
+      std::snprintf(tok, sizeof tok, "%s%llu%llu.%llue%d",
+                    bits % 3 == 0 ? "-" : "",
+                    static_cast<unsigned long long>(1 + bits % 9),
+                    static_cast<unsigned long long>(rng.next_u64()),
+                    static_cast<unsigned long long>(rng.next_u64()),
+                    static_cast<int>(bits >> 40) % 700 - 350);
+    }
+    trace::JsonReader r(tok);
+    double got = 0;
+    ASSERT_TRUE(r.number(&got) && r.pos() == std::strlen(tok)) << tok;
+    const double want = std::strtod(tok, nullptr);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << tok;
+  }
+}
+
+TEST(Json, DumpMatchesPrintf) {
+  // Numbers are written with std::to_chars; every byte must equal the
+  // printf form it replaced: %.0f for integers below 2^53, else %.17g.
+  const auto printf_form = [](double d) -> std::string {
+    if (!std::isfinite(d)) return "null";
+    char buf[64];
+    if (d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
+      std::snprintf(buf, sizeof buf, "%.0f", d);
+    } else {
+      std::snprintf(buf, sizeof buf, "%.17g", d);
+    }
+    return buf;
+  };
+  const double p53 = 9007199254740992.0;
+  std::vector<double> v = {0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 1e21, 1e-7,
+                           p53 - 2, p53 - 1, p53, p53 + 2, -(p53 - 1), -p53,
+                           9.007199254740991e15, 1e15 + 0.5, 4.9e-324,
+                           -4.9e-324, 2.2250738585072014e-308,
+                           2.2250738585072009e-308, 1e308, -1e308,
+                           1.7976931348623157e308, HUGE_VAL, std::nan("")};
+  support::Rng rng(29, 3);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    double d;
+    if (i % 2 == 0) {
+      std::memcpy(&d, &bits, sizeof d);  // any bit pattern
+    } else {
+      d = std::ldexp(rng.next_double(), static_cast<int>(bits % 140) - 70);
+      if (i % 4 == 1) d = std::round(d * 1e6);
+    }
+    v.push_back(d);
+  }
+  for (const double d : v) EXPECT_EQ(Json(d).dump(), printf_form(d)) << d;
 }
 
 // --- recorder ----------------------------------------------------------

@@ -134,7 +134,7 @@ void serve_stream(HullService& svc, SessionManager& mgr, int in_fd,
     return ready(iph::cluster::make_error(iph::cluster::reject::kBadRequest,
                                           text));
   };
-  const auto answer = [&](const iph::cluster::Envelope& in) -> Answer {
+  const auto answer = [&](iph::cluster::Envelope& in) -> Answer {
     std::string err;
     switch (in.cmd) {
       case Command::kStatz:
@@ -165,14 +165,13 @@ void serve_stream(HullService& svc, SessionManager& mgr, int in_fd,
         return ready(tools::session_open_response(st, info));
       }
       case Command::kSessionAppend: {
-        std::uint64_t sid = 0;
         std::vector<iph::geom::Point2> pts;
-        if (!tools::session_append_from_json(in.json, &sid, &pts, &err)) {
+        if (!tools::session_append_from_envelope(in, &pts, &err)) {
           return bad_request(err);
         }
         iph::session::AppendResult res;
-        const auto st = mgr.append(sid, pts, &res);
-        return ready(tools::session_append_response(sid, st, res));
+        const auto st = mgr.append(in.sid, pts, &res);
+        return ready(tools::session_append_response(in.sid, st, res));
       }
       case Command::kSessionClose: {
         iph::session::CloseSummary sum;
@@ -185,7 +184,7 @@ void serve_stream(HullService& svc, SessionManager& mgr, int in_fd,
       default: {  // kRequest; with no shards, admin commands never decode
         iph::serve::Request req;
         bool edge_above = false;
-        if (!tools::request_from_json(in.json, &req, &edge_above, &err)) {
+        if (!tools::request_from_envelope(in, &req, &edge_above, &err)) {
           return bad_request(err);
         }
         // Client-supplied ids are adopted verbatim (already parsed into
@@ -206,9 +205,11 @@ void serve_stream(HullService& svc, SessionManager& mgr, int in_fd,
   while (chan.read_line(&line)) {
     if (line.empty()) continue;
     iph::cluster::Envelope in;
-    Answer next = iph::cluster::decode_envelope(line, /*admin_shards=*/0, &in)
-                      ? answer(in)
-                      : ready(iph::cluster::make_error(in.reject, in.error));
+    Answer next =
+        iph::cluster::decode_envelope(line, /*admin_shards=*/0,
+                                      /*keep_points=*/true, &in)
+            ? answer(in)
+            : ready(iph::cluster::make_error(in.reject, in.error));
     {
       std::lock_guard<std::mutex> lk(mu);
       queue.push_back(std::move(next));

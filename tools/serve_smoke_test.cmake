@@ -509,12 +509,19 @@ endif()
 # 8b. One answer per malformed line, whichever front end reads it: the
 # same file sent to a stdin hullserved and to a stdin hullrouter over
 # the live fleet must come back byte for byte the same. Both refuse the
-# first eleven lines in the shared envelope decoder (cluster/protocol.h);
-# the router forwards the last two, and a backend's reject comes back
-# verbatim.
+# first seventeen lines in the shared envelope decoder
+# (cluster/protocol.h; the six after the first two are numbers JSON does
+# not allow); the router forwards the last two, and a backend's reject
+# comes back verbatim.
 file(WRITE "${WORK_DIR}/malformed.ndjson"
 "this is not json
 [1,2]
+{\"id\":0x10,\"n\":3}
+{\"id\":+7,\"n\":3}
+{\"id\":7,\"n\":3,\"v\":-infinity}
+{\"id\":01,\"n\":3}
+{\"id\":1.,\"n\":3}
+{\"points\":[[.5,0]]}
 {\"v\":1e300,\"n\":3}
 {\"cmd\":5,\"n\":3}
 {\"cmd\":\"frobnicate\"}
@@ -554,9 +561,13 @@ if(NOT served STREQUAL routed)
 endif()
 string(REGEX MATCHALL "\"error\":" errs "${served}")
 list(LENGTH errs n_err)
-if(NOT n_err EQUAL 13 OR served MATCHES "\"status\":")
+string(REGEX MATCHALL "\"reject\":\"bad_json\"" bad_json "${served}")
+list(LENGTH bad_json n_bad_json)
+if(NOT n_err EQUAL 19 OR NOT n_bad_json EQUAL 7 OR
+   served MATCHES "\"status\":")
   message(FATAL_ERROR
-          "cluster smoke: expected 13 error lines and no status:\n${served}")
+          "cluster smoke: expected 19 error lines, 7 of them bad_json, and "
+          "no status:\n${served}")
 endif()
 
 # 8c. TCP: router on an ephemeral port fronting the same fleet.

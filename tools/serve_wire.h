@@ -35,6 +35,19 @@
 // bad_request error line. It has no "status", so the router counts no
 // forward for it (cluster/stats.h).
 //
+// Numbers are strict JSON, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?:
+// hex, a leading '+', '0' or '.', and inf/nan words are bad_json, from
+// either front end; a magnitude beyond the double range reads as +-inf
+// and fails the range and finiteness checks. Points never become a
+// tree: decode_envelope scans a "points" array of number pairs straight
+// into Envelope::points (hullserved converts them; the router only
+// checks them and forwards the line's bytes), and request_from_envelope
+// / session_append_from_envelope move them into the decoded line.
+// Any other "points" value stays in the tree and the decoders below
+// read it there, so a bad one gets points_from_json's text either way;
+// request_from_json and session_append_from_json decode a line parsed
+// whole.
+//
 // The metrics "seed" is serialized as a decimal string: it is a full
 // 64-bit splitmix value and Json numbers are doubles.
 //
@@ -190,11 +203,30 @@ inline bool generated_from_json(const trace::Json& j,
   return true;
 }
 
-/// Decode one request line. On success fills `out` (deadline resolved
-/// against Clock::now(), Request::edge_above from the wire field) and
+/// The points of a request or session_append line: those decode_envelope
+/// already read (`read`, moved from), else an inline "points" array from
+/// the tree, else the named batch generated_from_json makes.
+inline bool line_points(const trace::Json& j, std::vector<geom::Point2>* read,
+                        std::vector<geom::Point2>* out, std::string* err) {
+  out->clear();
+  if (read != nullptr) {
+    *out = std::move(*read);
+    return true;
+  }
+  if (const trace::Json* pts = j.find("points"); pts && pts->is_array()) {
+    return points_from_json(*pts, out, err);
+  }
+  return generated_from_json(j, out, err);
+}
+
+/// Decode one request line from its tree `j`, with `read` as in
+/// line_points. On success fills `out` (deadline resolved against
+/// Clock::now(), Request::edge_above from the wire field) and
 /// `want_edge_above`; on failure returns false with a message in *err.
-inline bool request_from_json(const trace::Json& j, serve::Request* out,
-                              bool* want_edge_above, std::string* err) {
+inline bool request_from(const trace::Json& j,
+                         std::vector<geom::Point2>* read,
+                         serve::Request* out, bool* want_edge_above,
+                         std::string* err) {
   if (!j.is_object()) {
     *err = "request is not a JSON object";
     return false;
@@ -203,15 +235,11 @@ inline bool request_from_json(const trace::Json& j, serve::Request* out,
   double alpha = 0;
   double deadline_ms = 0;
   if (!cluster::request_fields(j, &out->id, &deadline_ms, err) ||
-      !number_field(j, "alpha", 1, kMaxAlpha, true, 8, &alpha, err)) {
+      !number_field(j, "alpha", 1, kMaxAlpha, true, 8, &alpha, err) ||
+      !line_points(j, read, &out->points, err)) {
     return false;
   }
   out->alpha = static_cast<int>(alpha);
-  if (const trace::Json* pts = j.find("points"); pts && pts->is_array()) {
-    if (!points_from_json(*pts, &out->points, err)) return false;
-  } else if (!generated_from_json(j, &out->points, err)) {
-    return false;
-  }
   if (const trace::Json* b = j.find("backend"); b != nullptr) {
     if (!b->is_string() ||
         !exec::parse_backend(b->as_string(), &out->backend)) {
@@ -247,6 +275,20 @@ inline bool request_from_json(const trace::Json& j, serve::Request* out,
   *want_edge_above = ea != nullptr && ea->as_bool();
   out->edge_above = *want_edge_above;
   return true;
+}
+
+/// Decode a request line parsed whole into `j` (no points read aside).
+inline bool request_from_json(const trace::Json& j, serve::Request* out,
+                              bool* want_edge_above, std::string* err) {
+  return request_from(j, nullptr, out, want_edge_above, err);
+}
+
+/// Decode a request line that decode_envelope read with its points
+/// kept; they move out of `in`.
+inline bool request_from_envelope(cluster::Envelope& in, serve::Request* out,
+                                  bool* want_edge_above, std::string* err) {
+  return request_from(in.json, in.points_read ? &in.points : nullptr, out,
+                      want_edge_above, err);
 }
 
 /// Encode one response line (see file comment for the shape).
@@ -337,12 +379,16 @@ inline bool session_append_from_json(const trace::Json& j,
                                      std::uint64_t* sid,
                                      std::vector<geom::Point2>* pts,
                                      std::string* err) {
-  if (!cluster::sid_field(j, sid, err)) return false;
-  pts->clear();
-  if (const trace::Json* p = j.find("points"); p && p->is_array()) {
-    return points_from_json(*p, pts, err);
-  }
-  return generated_from_json(j, pts, err);
+  return cluster::sid_field(j, sid, err) && line_points(j, nullptr, pts, err);
+}
+
+/// Decode a session_append line that decode_envelope read with its
+/// points kept (its sid already checked there); they move out of `in`.
+inline bool session_append_from_envelope(cluster::Envelope& in,
+                                         std::vector<geom::Point2>* pts,
+                                         std::string* err) {
+  return line_points(in.json, in.points_read ? &in.points : nullptr, pts,
+                     err);
 }
 
 /// Encode a session_open answer.
