@@ -32,8 +32,9 @@
 // behind a deliberately narrow service shape (1 shard, 2 threads —
 // nowhere for a per-request recorder cost to hide), run
 // recorder-armed (the iph::obs flight recorder, on by default) and
-// recorder-off, interleaved, best-of-5 each, 10 passes over the
-// request set per timed rep. The gate:
+// recorder-off, interleaved, each side's best rep kept: 12 reps of 25
+// passes over the request set on the small rows (n < 256), 3 reps of 5
+// passes on the others. The gate:
 // obs_inv = qps_native_noobs / qps_native_obs <= 1.05 on small rows —
 // the always-on recorder may cost at most 5% of small-query
 // throughput (EXPERIMENTS.md "Tracing overhead").

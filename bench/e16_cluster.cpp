@@ -196,13 +196,8 @@ double percentile(std::vector<double> v, double p) {
 /// Parse the merged snapshot out of a fleet_statz answer.
 bool fleet_snapshot(Router& router, iph::stats::RegistrySnapshot* out,
                     std::string* err) {
-  const Json doc = router.fleet_statz(/*prometheus=*/false);
-  const Json* s = doc.find("statz");
-  if (s == nullptr) {
-    *err = "fleet_statz answered without a \"statz\" member";
-    return false;
-  }
-  return iph::stats::from_json(*s, *out, err);
+  return iph::cluster::statz_from_json(
+      router.fleet_statz(/*prometheus=*/false), out, err);
 }
 
 double ideal_speedup(int backends) {

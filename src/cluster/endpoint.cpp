@@ -12,7 +12,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <list>
 #include <thread>
+
+#include "cluster/protocol.h"
+#include "support/linechan.h"
 
 namespace iph::cluster {
 
@@ -88,6 +92,27 @@ int dial(const Endpoint& ep) {
   return fd;
 }
 
+bool round_trip(const Endpoint& ep, const std::string& line,
+                std::string* reply) {
+  const int fd = dial(ep);
+  if (fd < 0) return false;
+  support::LineChannel ch(fd, fd);
+  const bool ok = ch.write_line(line) && ch.read_line(reply);
+  ::close(fd);
+  return ok;
+}
+
+bool scrape_statz(const Endpoint& ep, stats::RegistrySnapshot* out,
+                  std::string* err) {
+  std::string reply;
+  if (!round_trip(ep, R"({"cmd":"statz"})", &reply)) {
+    if (err != nullptr) *err = "statz round trip failed";
+    return false;
+  }
+  trace::Json j;
+  return trace::Json::parse(reply, &j, err) && statz_from_json(j, out, err);
+}
+
 int serve_tcp(int port, const char* tool, bool quiet,
               const ConnHandler& handle) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -121,7 +146,14 @@ int serve_tcp(int port, const char* tool, bool quiet,
   ::sigaction(SIGINT, &sa, nullptr);
   ::sigaction(SIGTERM, &sa, nullptr);
 
-  std::vector<std::thread> conns;
+  // A connection's thread raises `done` as its last act. Each accept
+  // first joins the threads that have, so a finished connection keeps
+  // no stack while the server runs.
+  struct Conn {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Conn> conns;
   std::uint64_t next_conn = 2;
   while (!g_stop.load()) {
     const int conn = ::accept(fd, nullptr, nullptr);
@@ -131,14 +163,21 @@ int serve_tcp(int port, const char* tool, bool quiet,
       report_errno(tool, "accept");
       break;
     }
+    conns.remove_if([](Conn& c) {
+      if (!c.done.load()) return false;
+      c.thread.join();
+      return true;
+    });
     const std::uint64_t conn_id = next_conn++;
-    conns.emplace_back([&handle, conn, conn_id] {
+    Conn& c = conns.emplace_back();
+    c.thread = std::thread([&handle, &c, conn, conn_id] {
       handle(conn, conn_id);
       ::close(conn);
+      c.done.store(true);
     });
   }
   if (!g_stop.load()) ::close(fd);
-  for (auto& t : conns) t.join();
+  for (Conn& c : conns) c.thread.join();
   return 0;
 }
 

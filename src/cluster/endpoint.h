@@ -11,6 +11,10 @@
 
 #include "trace/json.h"
 
+namespace iph::stats {
+struct RegistrySnapshot;
+}  // namespace iph::stats
+
 namespace iph::cluster {
 
 struct Endpoint {
@@ -30,6 +34,18 @@ bool parse_endpoint_list(const std::string& csv, std::vector<Endpoint>* out);
 /// Blocking TCP connect. Returns the connected fd, or -1 on failure.
 int dial(const Endpoint& ep);
 
+/// One line to `ep` on a fresh connection, and its one-line answer in
+/// *reply; false when the dial or the round trip fails. A throwaway
+/// connection never interleaves with a client's request/answer order.
+bool round_trip(const Endpoint& ep, const std::string& line,
+                std::string* reply);
+
+/// A {"cmd":"statz"} round trip to `ep`, its answer decoded by
+/// statz_from_json (cluster/protocol.h); false, with why in *err when it
+/// is given, when the dial, the round trip or the decode fails.
+bool scrape_statz(const Endpoint& ep, stats::RegistrySnapshot* out,
+                  std::string* err);
+
 /// Serves one accepted connection on its own thread; serve_tcp closes
 /// `fd` after it returns.
 using ConnHandler = std::function<void(int fd, std::uint64_t conn_id)>;
@@ -40,9 +56,9 @@ using ConnHandler = std::function<void(int fd, std::uint64_t conn_id)>;
 /// "<tool>: listening on 127.0.0.1:<port>" note to stderr. Then run
 /// `handle` on one thread per accepted connection, with connection ids
 /// from 2 (stdin serving is connection 1), until SIGINT/SIGTERM stops
-/// accepting; joins every connection thread before returning. Returns
-/// 0, or 3 when the socket cannot be set up (reported to stderr under
-/// `tool`).
+/// accepting. A finished connection's thread is joined at the next
+/// accept, and every one before returning. Returns 0, or 3 when the
+/// socket cannot be set up (reported to stderr under `tool`).
 int serve_tcp(int port, const char* tool, bool quiet,
               const ConnHandler& handle);
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "stats/export.h"
 #include "trace/json.h"
 
 namespace iph::cluster {
@@ -84,7 +85,7 @@ bool parse_line(bool keep_points, trace::JsonReader& r, Envelope* out) {
         j.erase(key);  // a "points" the tree read earlier loses to this one
       } else {
         Json v;
-        if (!r.value(&v)) return false;
+        if (!r.value(&v, 1)) return false;
         j[key] = std::move(v);
         if (key == "sid") {
           out->sid_at = at;
@@ -138,6 +139,16 @@ bool sid_field(const Json& j, std::uint64_t* sid, std::string* err) {
   }
   *sid = static_cast<std::uint64_t>(v);
   return true;
+}
+
+bool statz_from_json(const Json& j, stats::RegistrySnapshot* out,
+                     std::string* err) {
+  const Json* s = j.is_object() ? j.find("statz") : nullptr;
+  if (s == nullptr) {
+    if (err != nullptr) *err = "no \"statz\" member in reply";
+    return false;
+  }
+  return stats::from_json(*s, *out, err);
 }
 
 bool decode_envelope(std::string_view line, std::size_t admin_shards,

@@ -42,6 +42,10 @@
 #include "geom/point.h"
 #include "trace/json.h"
 
+namespace iph::stats {
+struct RegistrySnapshot;
+}  // namespace iph::stats
+
 namespace iph::cluster {
 
 inline constexpr int kProtocolVersion = 1;
@@ -79,12 +83,11 @@ inline trace::Json make_error(const std::string& reason,
   return o;
 }
 
-/// The "reject" reason of an error reply, or "" when the reply is not
-/// an error / carries no structured reason (pre-versioning server).
-inline std::string error_reject_reason(const trace::Json& reply) {
-  if (!reply.is_object() || reply.find("error") == nullptr) return "";
-  return reply.get_str("reject", "");
-}
+/// Decode a {"statz": ...} answer, the JSON shape (the prometheus text
+/// is for people and scrapers), into *out; false, with why in *err
+/// when it is given, for anything else.
+bool statz_from_json(const trace::Json& j, stats::RegistrySnapshot* out,
+                     std::string* err);
 
 /// False when the request object pins a protocol version this build
 /// does not speak. Absent "v" is accepted (see file comment).

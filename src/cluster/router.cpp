@@ -30,19 +30,6 @@ double ms_since(ClockT::time_point t0) {
       .count();
 }
 
-/// One command round trip on a fresh connection (scrapes and tracez
-/// fans use throwaway connections so they never interleave with a
-/// client conn's request/answer ordering).
-bool oneshot(const Endpoint& ep, const std::string& line,
-             std::string* reply) {
-  const int fd = dial(ep);
-  if (fd < 0) return false;
-  support::LineChannel ch(fd, fd);
-  const bool ok = ch.write_line(line) && ch.read_line(reply);
-  ::close(fd);
-  return ok;
-}
-
 }  // namespace
 
 Router::Router(RouterConfig cfg)
@@ -116,19 +103,6 @@ bool Router::mark_down_io(std::size_t shard) {
 }
 
 
-bool Router::scrape_shard(std::size_t shard,
-                          stats::RegistrySnapshot* out) {
-  Json cmd = Json::object();
-  cmd["cmd"] = Json("statz");
-  std::string reply;
-  if (!oneshot(cfg_.endpoints[shard], cmd.dump(), &reply)) return false;
-  Json j;
-  std::string err;
-  if (!Json::parse(reply, &j, &err) || !j.is_object()) return false;
-  const Json* s = j.find("statz");
-  return s != nullptr && stats::from_json(*s, *out, &err);
-}
-
 void Router::probe_loop() {
   std::unique_lock<std::mutex> lk(probe_mu_);
   while (!probe_cv_.wait_for(
@@ -137,7 +111,7 @@ void Router::probe_loop() {
     lk.unlock();
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       stats::RegistrySnapshot snap;
-      const bool live = scrape_shard(s, &snap);
+      const bool live = scrape_statz(cfg_.endpoints[s], &snap, nullptr);
       std::lock_guard<std::mutex> g(mu_);
       if (live) {
         shards_[s].cached = std::move(snap);
@@ -169,7 +143,7 @@ Json Router::fleet_statz(bool prometheus) {
   std::size_t cached = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     stats::RegistrySnapshot snap;
-    if (scrape_shard(s, &snap)) {
+    if (scrape_statz(cfg_.endpoints[s], &snap, nullptr)) {
       ++live;
       std::lock_guard<std::mutex> g(mu_);
       shards_[s].cached = snap;
@@ -222,7 +196,7 @@ Json Router::fleet_tracez(std::size_t limit, bool slowest) {
   std::vector<Json> exemplars;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     std::string reply;
-    if (!oneshot(cfg_.endpoints[s], cmd_line, &reply)) continue;
+    if (!round_trip(cfg_.endpoints[s], cmd_line, &reply)) continue;
     Json j;
     std::string err;
     if (!Json::parse(reply, &j, &err) || !j.is_object()) continue;

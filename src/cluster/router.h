@@ -169,8 +169,6 @@ class Router {
   /// Request-path io failure: mark the shard down unless admin-down
   /// already. Returns true when this call did the transition.
   bool mark_down_io(std::size_t shard);
-  /// One statz round trip on a fresh connection to endpoint `shard`.
-  bool scrape_shard(std::size_t shard, stats::RegistrySnapshot* out);
   void probe_loop();
   void mark_session_closed(std::uint64_t router_sid);
 

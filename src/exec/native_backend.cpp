@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <limits>
-#include <numeric>
 
 #include "exec/radix.h"
 #include "geom/predicates.h"
@@ -18,9 +16,9 @@ using geom::Index;
 using geom::Point2;
 
 /// Below this many points everything runs inline on the calling thread
-/// (prune, sort, scan, edge walk) — the pool only pays off past it.
+/// (extremes, sort, scan, edge walk) — the pool only pays off past it.
 constexpr std::size_t kParCutoff = std::size_t{1} << 14;
-/// Minimum points per fork-join slice for the prune passes, the chunk
+/// Minimum points per fork-join slice for the extremes pass, the chunk
 /// scans and the edge passes.
 constexpr std::size_t kChainGrain = std::size_t{1} << 13;
 
@@ -107,15 +105,13 @@ ThreadPool* pool_for(ThreadPool& pool, std::size_t n) noexcept {
   return n >= kParCutoff && pool.threads() > 1 ? &pool : nullptr;
 }
 
-// --- the prune ---------------------------------------------------------
-
-constexpr std::size_t kExtremes = 5;
+// --- the extremes pass ------------------------------------------------
 
 /// Running extremes of a range of points: lex-min, lex-max, max y,
 /// max x+y and max y-x. Strict comparisons: on a tie the point taken
 /// first stays.
 struct Extremes {
-  std::array<Point2, kExtremes> pt;
+  std::array<Point2, 5> pt;
 
   explicit Extremes(const Point2& q) { pt.fill(q); }
 
@@ -127,96 +123,6 @@ struct Extremes {
     if (q.y - q.x > pt[4].y - pt[4].x) pt[4] = q;
   }
 };
-
-/// The strict upper chain of the extremes (x strictly increasing) and
-/// the test that drops a point under it.
-struct FilterChain {
-  std::array<Point2, kExtremes> v;
-  std::size_t size = 0;
-  /// x of the interior vertices v[1], v[2], v[3], padded with +inf: the
-  /// edge over x is the number of them strictly left of x.
-  std::array<double, kExtremes - 2> split;
-
-  /// True when orient2d's static filter certifies p strictly below the
-  /// chain edge over p.x. The chain's ends are the lex-min and lex-max
-  /// points, so every x lies in its range. Uncertain and NaN points are
-  /// kept. Branch-free: on a circle the answer is a coin flip.
-  bool drops(const Point2& p) const noexcept {
-    const std::size_t k = static_cast<std::size_t>(p.x > split[0]) +
-                          static_cast<std::size_t>(p.x > split[1]) +
-                          static_cast<std::size_t>(p.x > split[2]);
-    return geom::orient2d_certified_negative(v[k], v[k + 1], p);
-  }
-};
-
-/// The filter chain of `pts`, or size < 2 when there is nothing to prune
-/// against (one column, or a non-finite extreme).
-FilterChain filter_chain(std::span<const Point2> pts, ThreadPool* pool) {
-  const std::size_t n = pts.size();
-  FilterChain c;
-  if (n == 0) return c;
-  std::vector<Extremes> part(slice_count(pool, n, kChainGrain),
-                             Extremes(pts[0]));
-  for_slices(pool, n, kChainGrain,
-             [&](std::size_t b, std::size_t e, std::size_t s) {
-               Extremes x(pts[b]);
-               for (std::size_t i = b + 1; i < e; ++i) x.take(pts[i]);
-               part[s] = x;
-             });
-  // A point extreme overall is extreme in its own slice.
-  Extremes ext = part[0];
-  for (const Extremes& x : part) {
-    for (const Point2& q : x.pt) ext.take(q);
-  }
-  std::array<Point2, kExtremes> q = ext.pt;
-  for (const Point2& p : q) {
-    if (!std::isfinite(p.x) || !std::isfinite(p.y)) return c;
-  }
-  std::sort(q.begin(), q.end(), [](const Point2& a, const Point2& b) {
-    return geom::lex_less(a, b);
-  });
-  const std::vector<Index> chain = scan(q.data(), 0, kExtremes);
-  c.size = chain.size();
-  for (std::size_t j = 0; j < c.size; ++j) c.v[j] = q[chain[j]];
-  c.split.fill(std::numeric_limits<double>::infinity());
-  for (std::size_t j = 1; j + 1 < c.size; ++j) c.split[j - 1] = c.v[j].x;
-  return c;
-}
-
-/// Input indices of the points the filter chain does not drop, in input
-/// order. Each slice compacts its survivors in place over its own range
-/// of `keep`; the slices' runs are then moved together.
-std::vector<std::uint32_t> prune(std::span<const Point2> pts,
-                                 ThreadPool* pool) {
-  const std::size_t n = pts.size();
-  const FilterChain c = filter_chain(pts, pool);
-  std::vector<std::uint32_t> keep(n);
-  if (c.size < 2) {
-    std::iota(keep.begin(), keep.end(), 0u);
-    return keep;
-  }
-  std::vector<std::size_t> from(slice_count(pool, n, kChainGrain));
-  std::vector<std::size_t> kept(from.size());
-  for_slices(pool, n, kChainGrain,
-             [&](std::size_t b, std::size_t e, std::size_t s) {
-               std::uint32_t* out = keep.data() + b;
-               std::size_t m = 0;
-               for (std::size_t i = b; i < e; ++i) {
-                 out[m] = static_cast<std::uint32_t>(i);
-                 m += c.drops(pts[i]) ? 0 : 1;
-               }
-               from[s] = b;
-               kept[s] = m;
-             });
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < from.size(); ++s) {
-    std::memmove(keep.data() + total, keep.data() + from[s],
-                 kept[s] * sizeof(std::uint32_t));
-    total += kept[s];
-  }
-  keep.resize(total);
-  return keep;
-}
 
 /// Exact x -> hull-edge lookup for points off the sorted order: x maps
 /// monotonically onto one of h buckets spanning the vertex x's, and
@@ -288,17 +194,45 @@ void fill_dropped(std::span<const Point2> pts, const Point2* p,
 
 }  // namespace
 
+FilterChain filter_chain(std::span<const Point2> pts, ThreadPool* pool) {
+  const std::size_t n = pts.size();
+  FilterChain c;
+  if (n == 0) return c;
+  std::vector<Extremes> part(slice_count(pool, n, kChainGrain),
+                             Extremes(pts[0]));
+  for_slices(pool, n, kChainGrain,
+             [&](std::size_t b, std::size_t e, std::size_t s) {
+               Extremes x(pts[b]);
+               for (std::size_t i = b + 1; i < e; ++i) x.take(pts[i]);
+               part[s] = x;
+             });
+  // A point extreme overall is extreme in its own slice.
+  Extremes ext = part[0];
+  for (const Extremes& x : part) {
+    for (const Point2& q : x.pt) ext.take(q);
+  }
+  std::array<Point2, 5> q = ext.pt;
+  for (const Point2& p : q) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) return c;
+  }
+  std::sort(q.begin(), q.end(), [](const Point2& a, const Point2& b) {
+    return geom::lex_less(a, b);
+  });
+  const std::vector<Index> chain = scan(q.data(), 0, q.size());
+  c.size = chain.size();
+  for (std::size_t j = 0; j < c.size; ++j) c.v[j] = q[chain[j]];
+  c.split.fill(std::numeric_limits<double>::infinity());
+  for (std::size_t j = 1; j + 1 < c.size; ++j) c.split[j - 1] = c.v[j].x;
+  return c;
+}
+
 NativeBackend::NativeBackend(unsigned threads) : pool_(threads) {}
 
 HullRun NativeBackend::upper_hull(std::span<const Point2> pts,
                                   std::uint64_t /*seed*/, int /*alpha*/,
                                   bool edge_above) {
-  LexSorted sorted;
-  {
-    const std::vector<std::uint32_t> keep =
-        prune(pts, pool_for(pool_, pts.size()));
-    sorted = lex_sort(pts, keep, pool_for(pool_, keep.size()));
-  }
+  ThreadPool* pool = pool_for(pool_, pts.size());
+  const LexSorted sorted = lex_sort(pts, filter_chain(pts, pool), pool);
   return finish(pts, sorted.points.data(), sorted.order.data(),
                 sorted.order.size(), edge_above);
 }

@@ -1,24 +1,20 @@
 // NativeBackend — the direct thread-parallel 2-d upper-hull engine.
 //
 // The fast path behind iph::serve: no PRAM simulation, no per-step
-// barrier. The engine only computes the upper hull, so it first drops
-// every point that provably cannot reach it, then runs linear passes
-// with sequential access over a contiguous lex-ordered array —
+// barrier. The engine only computes the upper hull, so it drops every
+// point that provably cannot reach it as it sorts, then runs linear
+// passes with sequential access over a contiguous lex-ordered array —
 //
-//   1. prune (Akl–Toussaint, the filtering stage of arXiv:2209.12310):
-//      one parallel pass picks five extreme input points (lex-min,
-//      lex-max, max y, max x+y, max y-x) and builds their strict upper
-//      chain; a second keeps a point unless orient2d's double-precision
-//      static filter certifies it strictly below the chain edge over its
-//      x. An uncertain test keeps the point, so the prune never runs the
-//      exact fallback. A point strictly below a segment between two
-//      input points is strictly below the upper hull at its x: it is not
-//      a vertex, not a copy of one and not the top of a vertex's column,
-//      so no vertex index can change,
-//   2. lex_sort (exec/radix.h) of the survivors alone: one parallel
-//      distribution pass by x straight from the input into the sorted
-//      arrays, then each bucket finished on its own in cache (further
-//      digits, insertion-sorted leaves) — no key arrays, no gather,
+//   1. extremes (filter_chain, below): one parallel pass picks five
+//      extreme input points (lex-min, lex-max, max y, max x+y, max y-x)
+//      and builds their strict upper chain, the filter of the
+//      Akl–Toussaint stage of arXiv:2209.12310,
+//   2. lex_sort (exec/radix.h) with the prune inside it: its count pass
+//      drops each point that orient2d's static filter certifies
+//      strictly below the chain (radix.h FilterChain: no vertex index
+//      can change), its scatter writes only the survivors straight from
+//      the input into the sorted arrays, then each bucket finishes in
+//      cache — no survivor list, no key arrays, no gather,
 //   3. fork-join chunk scans: each pool slice monotone-scans its
 //      contiguous x-range of the sorted array into a chunk chain
 //      (pbbsbench-hull style leaf parallelism),
@@ -32,8 +28,8 @@
 //      bucket, then upper_bound inside it: O(1) expected, O(log h) at
 //      worst). Not asked, edge_above stays empty.
 //
-// upper_hull_presorted runs stages 3–5 over the caller's span itself,
-// with no prune. Outputs are exact at every pool width: vertex indices
+// upper_hull_presorted runs stages 3–5 over the caller's span itself.
+// Outputs are exact at every pool width: vertex indices
 // are those of the sequential scan (seq/upper_hull.h) over the
 // (x, y, index) order of the whole input, which fixes the copy of a
 // duplicated point that names a vertex, and edge_above, when asked, is
@@ -55,8 +51,14 @@
 
 #include "exec/backend.h"
 #include "exec/pool.h"
+#include "exec/radix.h"
 
 namespace iph::exec {
+
+/// The engine's first pass: the filter chain (exec/radix.h) of `pts`,
+/// from one parallel pass over the input for its five extremes, or a
+/// chain that does not prune when one is not finite.
+FilterChain filter_chain(std::span<const geom::Point2> pts, ThreadPool* pool);
 
 class NativeBackend final : public Backend {
  public:
@@ -77,7 +79,7 @@ class NativeBackend final : public Backend {
   HullRun upper_hull(std::span<const geom::Point2> pts, std::uint64_t seed,
                      int alpha, bool edge_above) override;
 
-  /// Presorted fast path (backend.h): no prune and no sort —
+  /// Presorted fast path (backend.h): no extremes and no sort —
   /// the chunked scan and the edge walk run over `pts` itself. Same
   /// edge_above, concurrency and determinism contracts as upper_hull.
   HullRun upper_hull_presorted(std::span<const geom::Point2> pts,

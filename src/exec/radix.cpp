@@ -7,6 +7,8 @@
 #include <cstring>
 #include <limits>
 
+#include "geom/predicates.h"
+
 namespace iph::exec {
 
 namespace {
@@ -252,64 +254,82 @@ void sort_bucket(Point2* p, std::uint32_t* o, std::size_t m, Item* scratch) {
   }
 }
 
-/// lex_sort of pts[sel[0 .. n)], or of all of pts when sel is null.
-LexSorted lex_sort_of(std::span<const Point2> pts, const std::uint32_t* sel,
-                      std::size_t n, ThreadPool* pool) {
-  LexSorted out;
-  out.order.resize(n);
-  out.points.resize(n);
-  Point2* p = out.points.data();
-  std::uint32_t* o = out.order.data();
-  auto index = [&](std::size_t i) {
-    return sel != nullptr ? sel[i] : static_cast<std::uint32_t>(i);
-  };
-  if (n <= kSortLeaf) {
-    for (std::size_t i = 0; i < n; ++i) {
-      o[i] = index(i);
-      p[i] = pts[o[i]];
-    }
-    leaf_sort(p, o, n);
-    return out;
+/// Bit j set when p[j] survives `chain` (every p[j] when it is null),
+/// for j < m, 1 <= m <= 64.
+std::uint64_t survivors(const FilterChain* chain, const Point2* p,
+                        std::size_t m) noexcept {
+  if (chain == nullptr) return ~std::uint64_t{0} >> (64 - m);
+  std::uint64_t w = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    w |= std::uint64_t{!chain->drops(p[j])} << j;
   }
+  return w;
+}
+
+/// fn(b + j) for each set bit j of w, lowest first.
+template <class Fn>
+void each_bit(std::uint64_t w, std::size_t b, const Fn& fn) {
+  for (; w != 0; w &= w - 1) {
+    fn(b + static_cast<std::size_t>(std::countr_zero(w)));
+  }
+}
+
+/// lex_sort of the points of `pts` that `chain`, a pruning one, keeps;
+/// of all of them when it is null.
+LexSorted sort_survivors(std::span<const Point2> pts,
+                         const FilterChain* chain, ThreadPool* pool) {
+  const std::size_t n = pts.size();
   if (n < kSortParCutoff) pool = nullptr;
   const std::size_t slices = slice_count(pool, n, kGrain);
 
-  // The finite range of x.
-  std::vector<std::array<double, 2>> ranges(slices);
-  for_slices(pool, n, kGrain, [&](std::size_t b, std::size_t e, std::size_t s) {
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -lo;
-    for (std::size_t i = b; i < e; ++i) {
-      const double x = pts[index(i)].x;
-      if (std::isfinite(x)) {
-        lo = std::min(lo, x);
-        hi = std::max(hi, x);
-      }
+  // The survivors' finite range of x: a chain's two ends, the lex-min
+  // and lex-max input points, which both survive; else a pass of its own.
+  double lo = chain != nullptr ? chain->v[0].x
+                               : std::numeric_limits<double>::infinity();
+  double hi = chain != nullptr ? chain->v[chain->size - 1].x : -lo;
+  if (chain == nullptr) {
+    std::vector<std::array<double, 2>> ranges(slices);
+    for_slices(pool, n, kGrain,
+               [&](std::size_t b, std::size_t e, std::size_t s) {
+                 double l = lo;
+                 double h = hi;
+                 for (std::size_t i = b; i < e; ++i) {
+                   if (std::isfinite(pts[i].x)) {
+                     l = std::min(l, pts[i].x);
+                     h = std::max(h, pts[i].x);
+                   }
+                 }
+                 ranges[s] = {l, h};
+               });
+    for (const auto& [l, h] : ranges) {
+      lo = std::min(lo, l);
+      hi = std::max(hi, h);
     }
-    ranges[s] = {lo, hi};
-  });
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -lo;
-  for (const auto& [l, h] : ranges) {
-    lo = std::min(lo, l);
-    hi = std::max(hi, h);
   }
 
   // One distribution pass from the input straight into the output, by
-  // x's slice of that range: per-slice bucket counts, a (bucket,
-  // slice)-order prefix, and a stable per-slice scatter of each point
-  // and its input index. Without such a range (one x, or a width that
-  // overflows) the pass is a plain copy and the copy one bucket.
+  // x's slice of that range: a count pass that keeps one survivor bit
+  // per point and counts the survivors per (bucket, pool slice), a
+  // (bucket, slice)-order prefix, and a stable per-slice scatter of each
+  // survivor and its input index. Without a range (one x, or a width
+  // that overflows) the pass is a plain copy and the copy one bucket.
   Linear lin{lo, 0, std::size_t{1} << fan_bits(n)};
   lin.scale = static_cast<double>(lin.fan) / (hi - lo);
   if (!(lo < hi && lin.scale > 0 && std::isfinite(lin.scale))) {
     lin = Linear{0, 0, 1};
   }
   const std::size_t fan = lin.fan;
+  std::vector<std::vector<std::uint64_t>> kept(slices);
   std::vector<std::uint32_t> cnt(slices * fan, 0);
   for_slices(pool, n, kGrain, [&](std::size_t b, std::size_t e, std::size_t s) {
+    std::vector<std::uint64_t>& bits = kept[s];
+    bits.resize((e - b + 63) / 64);
     std::uint32_t* c = cnt.data() + s * fan;
-    for (std::size_t i = b; i < e; ++i) ++c[lin.of(pts[index(i)].x)];
+    for (std::size_t w = 0, i = b; i < e; ++w, i += 64) {
+      bits[w] =
+          survivors(chain, pts.data() + i, std::min<std::size_t>(64, e - i));
+      each_bit(bits[w], i, [&](std::size_t k) { ++c[lin.of(pts[k].x)]; });
+    }
   });
   std::vector<std::uint32_t> at(fan + 1);
   std::uint32_t run = 0;
@@ -322,31 +342,41 @@ LexSorted lex_sort_of(std::span<const Point2> pts, const std::uint32_t* sel,
     }
   }
   at[fan] = run;
-  for_slices(pool, n, kGrain, [&](std::size_t b, std::size_t e, std::size_t s) {
+  const std::size_t m = run;
+  LexSorted out;
+  out.order.resize(m);
+  out.points.resize(m);
+  Point2* p = out.points.data();
+  std::uint32_t* o = out.order.data();
+  for_slices(pool, n, kGrain, [&](std::size_t b, std::size_t, std::size_t s) {
     std::uint32_t* head = cnt.data() + s * fan;
-    for (std::size_t i = b; i < e; ++i) {
-      const std::uint32_t in = index(i);
-      const std::uint32_t to = head[lin.of(pts[in].x)]++;
-      p[to] = pts[in];
-      o[to] = in;
+    const std::vector<std::uint64_t>& bits = kept[s];
+    for (std::size_t w = 0; w < bits.size(); ++w) {
+      each_bit(bits[w], b + 64 * w, [&](std::size_t i) {
+        const std::uint32_t to = head[lin.of(pts[i].x)]++;
+        p[to] = pts[i];
+        o[to] = static_cast<std::uint32_t>(i);
+      });
     }
   });
 
-  // Each bucket finishes on its own. A slice owns the buckets that start
-  // in it, however far they reach, and sizes its scratch once for the
-  // largest of them.
-  for_slices(pool, n, kGrain, [&](std::size_t b, std::size_t e, std::size_t) {
+  // Each bucket finishes on its own, `step` adjacent ones as one so that
+  // their number follows the survivors' count, not the input's. A slice
+  // owns the buckets that start in it, however far they reach, and sizes
+  // its scratch once for the largest of them.
+  const std::size_t step = std::max<std::size_t>(1, fan >> fan_bits(m));
+  for_slices(pool, m, kGrain, [&](std::size_t b, std::size_t e, std::size_t) {
     auto owned = [&](std::size_t k) { return at[k] >= b && at[k] < e; };
     std::size_t need = 0;
-    for (std::size_t k = 0; k < fan; ++k) {
-      const std::size_t len = at[k + 1] - at[k];
+    for (std::size_t k = 0; k < fan; k += step) {
+      const std::size_t len = at[k + step] - at[k];
       if (owned(k) && len > kSortLeaf) {
         need = std::max(need, std::min(len, kScratchPoints));
       }
     }
     std::vector<Item> scratch(need);
-    for (std::size_t k = 0; k < fan; ++k) {
-      const std::size_t len = at[k + 1] - at[k];
+    for (std::size_t k = 0; k < fan; k += step) {
+      const std::size_t len = at[k + step] - at[k];
       if (owned(k) && len > 1) {
         sort_bucket(p + at[k], o + at[k], len, scratch.data());
       }
@@ -359,13 +389,20 @@ LexSorted lex_sort_of(std::span<const Point2> pts, const std::uint32_t* sel,
 
 std::uint64_t double_key(double d) noexcept { return key(d); }
 
-LexSorted lex_sort(std::span<const Point2> pts, ThreadPool* pool) {
-  return lex_sort_of(pts, nullptr, pts.size(), pool);
+bool FilterChain::drops(const Point2& p) const noexcept {
+  const std::size_t k = static_cast<std::size_t>(p.x > split[0]) +
+                        static_cast<std::size_t>(p.x > split[1]) +
+                        static_cast<std::size_t>(p.x > split[2]);
+  return geom::orient2d_certified_negative(v[k], v[k + 1], p);
 }
 
-LexSorted lex_sort(std::span<const Point2> pts,
-                   std::span<const std::uint32_t> sel, ThreadPool* pool) {
-  return lex_sort_of(pts, sel.data(), sel.size(), pool);
+LexSorted lex_sort(std::span<const Point2> pts, ThreadPool* pool) {
+  return sort_survivors(pts, nullptr, pool);
+}
+
+LexSorted lex_sort(std::span<const Point2> pts, const FilterChain& chain,
+                   ThreadPool* pool) {
+  return sort_survivors(pts, chain.prunes() ? &chain : nullptr, pool);
 }
 
 std::vector<std::uint32_t> lex_sort_indices(std::span<const Point2> pts,

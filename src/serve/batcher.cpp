@@ -1,7 +1,5 @@
 #include "serve/batcher.h"
 
-#include "exec/pram_backend.h"
-
 namespace iph::serve {
 
 std::vector<Response> execute_batch(const BackendSet& backends,
@@ -59,16 +57,6 @@ std::vector<Response> execute_batch(const BackendSet& backends,
     out.push_back(std::move(resp));
   }
   return out;
-}
-
-std::vector<Response> execute_batch(pram::Machine& m,
-                                    std::span<const Request> requests,
-                                    std::uint64_t master_seed,
-                                    BatchExecInfo* info) {
-  exec::PramBackend pram_backend(m);
-  BackendSet backends;
-  backends.pram = &pram_backend;
-  return execute_batch(backends, requests, master_seed, info);
 }
 
 }  // namespace iph::serve

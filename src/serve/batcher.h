@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "exec/backend.h"
-#include "pram/machine.h"
 #include "pram/metrics.h"
 #include "serve/request.h"
 #include "trace/recorder.h"
@@ -45,9 +44,6 @@ struct BatchPolicy {
   std::size_t max_batch_points = std::size_t{1} << 16;
   /// How long a dequeued batch waits for stragglers.
   std::chrono::microseconds window{200};
-  /// Serial-dispatch grain applied to every shard's machine (0 = leave the
-  /// machine's IPH_PRAM_GRAIN-derived default).
-  std::uint64_t grain = 0;
 };
 
 /// The engines one batch may dispatch to, plus the service-level
@@ -114,14 +110,6 @@ struct BatchExecInfo {
 /// (per-request completion stamps for that are in `info` when
 /// non-null).
 std::vector<Response> execute_batch(const BackendSet& backends,
-                                    std::span<const Request> requests,
-                                    std::uint64_t master_seed,
-                                    BatchExecInfo* info = nullptr);
-
-/// Legacy PRAM-only entry point: wraps `m` in a stack PramBackend and
-/// runs the batch with no native engine. Kept because the determinism
-/// and serving tests drive batches against a bare machine.
-std::vector<Response> execute_batch(pram::Machine& m,
                                     std::span<const Request> requests,
                                     std::uint64_t master_seed,
                                     BatchExecInfo* info = nullptr);

@@ -84,7 +84,6 @@ HullService::HullService(const ServiceConfig& cfg)
   for (std::size_t i = 0; i < n; ++i) {
     machines_.push_back(std::make_unique<pram::Machine>(
         cfg_.threads_per_shard, cfg_.master_seed));
-    if (cfg_.batch.grain != 0) machines_[i]->set_grain(cfg_.batch.grain);
     if (cfg_.trace) {
       recorders_.push_back(std::make_unique<trace::Recorder>());
       recorders_[i]->attach(*machines_[i]);

@@ -168,10 +168,13 @@ bool JsonReader::string(std::string* out) {
   return fail("unterminated string");
 }
 
-bool JsonReader::value(Json* out) {
+bool JsonReader::value(Json* out, int depth) {
   skip_ws();
   if (i_ >= t_.size()) return fail("unexpected end");
   char c = t_[i_];
+  if ((c == '{' || c == '[') && depth >= kMaxDepth) {
+    return fail("nesting too deep");
+  }
   if (c == '{') {
     ++i_;
     *out = Json::object();
@@ -181,7 +184,7 @@ bool JsonReader::value(Json* out) {
       if (!string(&key)) return false;
       if (!consume(':')) return fail("expected ':'");
       Json v;
-      if (!value(&v)) return false;
+      if (!value(&v, depth + 1)) return false;
       (*out)[key] = std::move(v);
       if (consume(',')) continue;
       if (consume('}')) return true;
@@ -194,7 +197,7 @@ bool JsonReader::value(Json* out) {
     if (consume(']')) return true;
     for (;;) {
       Json v;
-      if (!value(&v)) return false;
+      if (!value(&v, depth + 1)) return false;
       out->push_back(std::move(v));
       if (consume(',')) continue;
       if (consume(']')) return true;

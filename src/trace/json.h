@@ -117,6 +117,11 @@ class Json {
 /// the byte offset into the whole text.
 class JsonReader {
  public:
+  /// Far above the deepest document this repository writes (a bench
+  /// report nests 6 levels, a request line 3), far below what the stack
+  /// holds.
+  static constexpr int kMaxDepth = 256;
+
   explicit JsonReader(std::string_view text) : t_(text) {}
 
   std::size_t pos() const noexcept { return i_; }
@@ -145,8 +150,11 @@ class JsonReader {
   bool number(double* out);
   /// A string, after whitespace.
   bool string(std::string* out);
-  /// Any value, after whitespace.
-  bool value(Json* out);
+  /// Any value, after whitespace, inside `depth` open arrays and objects
+  /// (a caller that walks an object's members itself passes 1). Nesting
+  /// deeper than kMaxDepth in all is refused ("nesting too deep"), so no
+  /// text can exhaust the stack of this recursive reader.
+  bool value(Json* out, int depth = 0);
   /// Skip whitespace; false, recording "trailing data", unless the text
   /// ends there.
   bool end();

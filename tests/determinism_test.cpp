@@ -16,6 +16,7 @@
 #include "core/presorted_logstar.h"
 #include "core/unsorted2d.h"
 #include "core/unsorted3d.h"
+#include "exec/pram_backend.h"
 #include "geom/workloads.h"
 #include "pram/machine.h"
 #include "serve/batcher.h"
@@ -121,6 +122,17 @@ INSTANTIATE_TEST_SUITE_P(AllAlgos, ThreadDeterminism,
 // requests were coalesced into the same batch, of arrival order, or of
 // the shard's thread count. Batched runs must be bit-identical to solo
 // runs of each request.
+
+/// One batch on a PRAM engine over `m` alone.
+std::vector<serve::Response> pram_batch(pram::Machine& m,
+                                        std::span<const serve::Request> reqs,
+                                        std::uint64_t master_seed) {
+  exec::PramBackend pram(m);
+  serve::BackendSet backends;
+  backends.pram = &pram;
+  return serve::execute_batch(backends, reqs, master_seed);
+}
+
 TEST(ServeDeterminism, BatchedEqualsSoloBitIdentical) {
   constexpr std::uint64_t kMaster = 0xfeedULL;
   std::vector<serve::Request> reqs;
@@ -132,8 +144,7 @@ TEST(ServeDeterminism, BatchedEqualsSoloBitIdentical) {
   }
 
   pram::Machine batch_machine(2, kMaster);
-  const auto batched =
-      serve::execute_batch(batch_machine, reqs, kMaster);
+  const auto batched = pram_batch(batch_machine, reqs, kMaster);
   ASSERT_EQ(batched.size(), reqs.size());
 
   for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -154,7 +165,7 @@ TEST(ServeDeterminism, BatchedEqualsSoloBitIdentical) {
   // Batch composition must not matter: reversed order, one machine.
   std::vector<serve::Request> reversed(reqs.rbegin(), reqs.rend());
   pram::Machine other(1, 0xdeadULL);  // pool seed is irrelevant too
-  const auto rebatched = serve::execute_batch(other, reversed, kMaster);
+  const auto rebatched = pram_batch(other, reversed, kMaster);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     const auto& fwd = batched[i];
     const auto& rev = rebatched[reqs.size() - 1 - i];

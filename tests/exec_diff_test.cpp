@@ -513,30 +513,42 @@ TEST(ExecDiff, LexSortIsTheXYIndexOrder) {
   }
 }
 
+/// Input indices of the points `chain` keeps, in input order.
+std::vector<std::uint32_t> kept_by(const FilterChain& chain,
+                                   std::span<const geom::Point2> pts) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t i = 0; i < pts.size(); ++i) {
+    if (!chain.prunes() || !chain.drops(pts[i])) out.push_back(i);
+  }
+  return out;
+}
+
 TEST(ExecDiff, LexSortOfSubsetCarriesInputIndices) {
-  // The prune's overload: only the selected points are keyed, sorted and
-  // gathered, and order names input indices — the stable (x, y, index)
-  // order of the subset, pooled or inline.
+  // The engine's overload: only the points the filter chain keeps are
+  // sorted, and order names input indices — the stable (x, y, index)
+  // order of the survivors, pooled or inline. The chains: the input's
+  // own, whose ends span every x; that of its first third, past whose
+  // ends points meet its end edges and the sort's end buckets; and one
+  // that does not prune.
   auto inputs = exact_inputs((std::size_t{1} << 15) + 1, 31);
   inputs.emplace_back("tiny", geom::in_disk(5, 31));
   ThreadPool pool(4);
-  support::Rng rng(5, /*stream=*/0x73756273ULL);  // "subs"
   for (const auto& [name, pts] : inputs) {
-    for (const std::uint64_t skip : {0ull, 2ull, 3ull, 1000000ull}) {
-      std::vector<std::uint32_t> sel;
-      for (std::uint32_t i = 0; i < pts.size(); ++i) {
-        if (skip == 0 || rng.next_u64() % skip != 0) sel.push_back(i);
-      }
-      if (skip == 1000000) sel.clear();
-      std::vector<std::uint32_t> want = sel;
+    const std::span<const geom::Point2> all(pts);
+    const std::pair<const char*, FilterChain> chains[] = {
+        {"own chain", filter_chain(all, &pool)},
+        {"first third's chain", filter_chain(all.first(pts.size() / 3), &pool)},
+        {"no chain", FilterChain{}}};
+    for (const auto& [which, chain] : chains) {
+      std::vector<std::uint32_t> want = kept_by(chain, pts);
       std::stable_sort(want.begin(), want.end(),
                        [&](std::uint32_t a, std::uint32_t b) {
                          return geom::lex_less(pts[a], pts[b]);
                        });
       for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
-        const LexSorted got = lex_sort(pts, sel, p);
-        const std::string label = name + " 1/" + std::to_string(skip) +
-                                  (p ? " pooled" : " inline");
+        const LexSorted got = lex_sort(pts, chain, p);
+        const std::string label =
+            name + " " + which + (p ? " pooled" : " inline");
         ASSERT_EQ(got.order, want) << label;
         ASSERT_EQ(got.points.size(), want.size()) << label;
         for (std::size_t i = 0; i < want.size(); ++i) {
@@ -618,12 +630,26 @@ bool same_bits(const geom::Point2& a, const geom::Point2& b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
+/// A chain that drops the points certified strictly below y = 0: the
+/// one edge (-1, 0)-(1, 0), extended both ways. Its range [-1, 1] holds
+/// few of an adversarial input's x's, so the sort's end buckets take
+/// the rest, infinities and NaNs included.
+FilterChain below_axis() {
+  FilterChain c;
+  c.v[0] = {-1.0, 0.0};
+  c.v[1] = {1.0, 0.0};
+  c.size = 2;
+  c.split.fill(std::numeric_limits<double>::infinity());
+  return c;
+}
+
 TEST(ExecDiff, PresortAdversarialInputs) {
   // Each input at the leaf size -1, at it and +1, and at the parallel
-  // cutoff -1, at it and +1, through both lex_sort overloads at pool
-  // widths 1-4 and inline, against a stable sort by lex_less — or, where
-  // NaNs make lex_less no order, by the (x-key, y-key) order double_key
-  // defines. Points must come back bit for bit.
+  // cutoff -1, at it and +1, whole and filtered by two chains (its own,
+  // and below_axis), through both lex_sort overloads at pool widths 1-4
+  // and inline, against a stable sort of the points the chain keeps by
+  // lex_less — or, where NaNs make lex_less no order, by the (x-key,
+  // y-key) order double_key defines. Points must come back bit for bit.
   const std::size_t sizes[] = {kSortLeaf - 1,      kSortLeaf,
                                kSortLeaf + 1,      kSortParCutoff - 1,
                                kSortParCutoff,     kSortParCutoff + 1};
@@ -631,7 +657,6 @@ TEST(ExecDiff, PresortAdversarialInputs) {
   for (unsigned w = 1; w <= 4; ++w) {
     pools.push_back(std::make_unique<ThreadPool>(w));
   }
-  support::Rng rng(9, /*stream=*/0x73656cULL);  // "sel"
   for (const std::size_t n : sizes) {
     for (const auto& [name, pts] : presort_inputs(n, n)) {
       const bool nan = std::any_of(pts.begin(), pts.end(), [](const auto& q) {
@@ -643,25 +668,22 @@ TEST(ExecDiff, PresortAdversarialInputs) {
         const auto kb = std::pair(double_key(pts[b].x), double_key(pts[b].y));
         return ka < kb;
       };
-      std::vector<std::uint32_t> all(pts.size());
-      std::iota(all.begin(), all.end(), 0u);
-      std::vector<std::uint32_t> half;
-      for (const std::uint32_t i : all) {
-        if (rng.next_u64() % 2 == 0) half.push_back(i);
-      }
-      for (const std::vector<std::uint32_t>* sel : {&all, &half}) {
-        std::vector<std::uint32_t> want = *sel;
+      const std::pair<const char*, FilterChain> chains[] = {
+          {"all", FilterChain{}},
+          {"own chain", filter_chain(pts, nullptr)},
+          {"below y = 0", below_axis()}};
+      for (const auto& [which, chain] : chains) {
+        std::vector<std::uint32_t> want = kept_by(chain, pts);
         std::stable_sort(want.begin(), want.end(), before);
         std::vector<ThreadPool*> widths = {nullptr};
         for (const auto& pool : pools) widths.push_back(pool.get());
         for (ThreadPool* p : widths) {
           const std::string label =
-              name + " n=" + std::to_string(n) +
-              (sel == &all ? " all" : " subset") + " width " +
+              name + " n=" + std::to_string(n) + " " + which + " width " +
               std::to_string(p != nullptr ? p->threads() : 0);
           std::vector<LexSorted> got;
-          got.push_back(lex_sort(pts, *sel, p));
-          if (sel == &all) got.push_back(lex_sort(pts, p));
+          got.push_back(lex_sort(pts, chain, p));
+          if (!chain.prunes()) got.push_back(lex_sort(pts, p));
           for (const LexSorted& g : got) {
             ASSERT_EQ(g.order, want) << label;
             ASSERT_EQ(g.points.size(), want.size()) << label;

@@ -444,13 +444,16 @@ TEST(HullService, BatchingCoalescesABurst) {
 
 TEST(ExecuteBatch, ReportsPerRequestCompletionAndPramTotals) {
   pram::Machine m(2, 99);
+  exec::PramBackend pram_backend(m);
+  BackendSet backends;
+  backends.pram = &pram_backend;
   std::vector<Request> reqs;
   for (int i = 0; i < 4; ++i) {
     reqs.push_back(make_request(static_cast<RequestId>(i + 1), 128, 11));
   }
   BatchExecInfo info;
   const std::vector<Response> rs =
-      execute_batch(m, reqs, /*master_seed=*/7, &info);
+      execute_batch(backends, reqs, /*master_seed=*/7, &info);
   ASSERT_EQ(rs.size(), reqs.size());
   ASSERT_EQ(info.completed_at.size(), reqs.size());
   // Requests execute back-to-back inside the lease: completion stamps
@@ -843,12 +846,6 @@ TEST(ExecuteBatch, BackendSetDispatchesAndFallsBack) {
   EXPECT_EQ(rs[0].metrics.backend, exec::BackendKind::kPram);
   EXPECT_EQ(info.native_requests, 0u);
   EXPECT_EQ(info.pram_requests, 3u);
-
-  // The legacy overload is the pram-only set in disguise.
-  rs = execute_batch(m, reqs, 7, &info);
-  for (const Response& r : rs) {
-    EXPECT_EQ(r.metrics.backend, exec::BackendKind::kPram);
-  }
 }
 
 // --- request-scoped tracing (iph::obs) --------------------------------

@@ -15,7 +15,8 @@
 // Lines come from a seeded generator: valid request and session lines
 // (%.17g, integer and exponent coordinates, whitespace, shuffled keys,
 // duplicate "points"/"sid" keys, empty arrays), and byte mutations of
-// them (truncations, swapped brackets, non-JSON number tokens). A fixed
+// them (truncations, swapped brackets, non-JSON number tokens, numbers
+// nested in brackets around and far past JsonReader::kMaxDepth). A fixed
 // slice always runs; IPH_WIRE_FUZZ_MS adds that many milliseconds of
 // draws from IPH_SEED. The first mismatching line is written to
 // wire_diff_repro.ndjson under IPH_EXEC_REPRO_DIR (default: the working
@@ -289,7 +290,7 @@ class LineGen {
   std::string mutate(std::string s) {
     if (s.empty()) return s;
     const std::size_t at = below(s.size());
-    switch (below(6)) {
+    switch (below(7)) {
       case 0:
         return s.substr(0, at);
       case 1: {  // swap a bracket
@@ -319,6 +320,21 @@ class LineGen {
       }
       case 3:
         return s.erase(at, 1);
+      case 6: {  // a number nested in brackets about kMaxDepth deep, or far
+        const std::size_t depth =
+            coin(0.125) ? 50000
+                        : trace::JsonReader::kMaxDepth - 3 + below(5);
+        for (std::size_t k = 0; k < s.size(); ++k) {
+          const std::size_t b = (at + k) % s.size();
+          if ((s[b] >= '0' && s[b] <= '9') || s[b] == '-') {
+            std::size_t e = b;
+            while (e < s.size() && std::strchr("0123456789+-.eE", s[e])) ++e;
+            return s.substr(0, b) + std::string(depth, '[') +
+                   s.substr(b, e - b) + std::string(depth, ']') + s.substr(e);
+          }
+        }
+        return s;
+      }
       case 4:
         return s.insert(at, 1, s[at]);
       default: {

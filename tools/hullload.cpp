@@ -537,38 +537,17 @@ Tally run_stream_tcp(const Options& opt, const std::string& target,
   return t;
 }
 
-/// One statz round trip on a fresh connection (JSON format).
-bool scrape_tcp(const std::string& hostport,
-                iph::stats::RegistrySnapshot* out, std::string* err) {
-  const int fd = connect_to(hostport);
-  if (fd < 0) {
-    *err = "connect failed";
-    return false;
-  }
-  LineChannel chan(fd, fd);
-  Json cmd = Json::object();
-  cmd["cmd"] = Json("statz");
-  std::string line;
-  const bool io_ok = chan.write_line(cmd.dump()) && chan.read_line(&line);
-  ::close(fd);
-  if (!io_ok) {
-    *err = "statz round trip failed";
-    return false;
-  }
-  Json j;
-  if (!Json::parse(line, &j, err)) return false;
-  return iph::tools::statz_from_json(j, out, err);
-}
-
-/// Scrape every target into `out` (one snapshot per target, in
+/// Scrape every target's statz into `out` (one snapshot per target, in
 /// order). False (with the failing target named in *err) on any miss.
 bool scrape_targets(const std::vector<std::string>& targets,
                     std::vector<iph::stats::RegistrySnapshot>* out,
                     std::string* err) {
   out->assign(targets.size(), {});
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    std::string why;
-    if (!scrape_tcp(targets[i], &(*out)[i], &why)) {
+    iph::cluster::Endpoint ep;
+    std::string why = "connect failed";
+    if (!iph::cluster::parse_endpoint(targets[i], &ep) ||
+        !iph::cluster::scrape_statz(ep, &(*out)[i], &why)) {
       *err = targets[i] + ": " + why;
       return false;
     }

@@ -509,10 +509,13 @@ endif()
 # 8b. One answer per malformed line, whichever front end reads it: the
 # same file sent to a stdin hullserved and to a stdin hullrouter over
 # the live fleet must come back byte for byte the same. Both refuse the
-# first seventeen lines in the shared envelope decoder
+# first nineteen lines in the shared envelope decoder
 # (cluster/protocol.h; the six after the first two are numbers JSON does
-# not allow); the router forwards the last two, and a backend's reject
-# comes back verbatim.
+# not allow, the two after them 50,000 nested brackets, past the
+# parser's depth limit); the router forwards the last two, and a
+# backend's reject comes back verbatim.
+string(REPEAT "[" 50000 deep_open)
+string(REPEAT "]" 50000 deep_close)
 file(WRITE "${WORK_DIR}/malformed.ndjson"
 "this is not json
 [1,2]
@@ -522,6 +525,8 @@ file(WRITE "${WORK_DIR}/malformed.ndjson"
 {\"id\":01,\"n\":3}
 {\"id\":1.,\"n\":3}
 {\"points\":[[.5,0]]}
+{\"id\":1,\"x\":${deep_open}${deep_close}}
+{\"id\":1,\"points\":${deep_open}${deep_close}}
 {\"v\":1e300,\"n\":3}
 {\"cmd\":5,\"n\":3}
 {\"cmd\":\"frobnicate\"}
@@ -563,11 +568,18 @@ string(REGEX MATCHALL "\"error\":" errs "${served}")
 list(LENGTH errs n_err)
 string(REGEX MATCHALL "\"reject\":\"bad_json\"" bad_json "${served}")
 list(LENGTH bad_json n_bad_json)
-if(NOT n_err EQUAL 19 OR NOT n_bad_json EQUAL 7 OR
+if(NOT n_err EQUAL 21 OR NOT n_bad_json EQUAL 9 OR
    served MATCHES "\"status\":")
   message(FATAL_ERROR
-          "cluster smoke: expected 19 error lines, 7 of them bad_json, and "
+          "cluster smoke: expected 21 error lines, 9 of them bad_json, and "
           "no status:\n${served}")
+endif()
+string(REGEX MATCHALL "nesting too deep" deep "${served}")
+list(LENGTH deep n_deep)
+if(NOT n_deep EQUAL 2)
+  message(FATAL_ERROR
+          "cluster smoke: the two deep lines were not refused for their "
+          "depth:\n${served}")
 endif()
 
 # 8c. TCP: router on an ephemeral port fronting the same fleet.

@@ -135,6 +135,7 @@ namespace iph::tools {
 
 using cluster::kMaxWireInteger;
 using cluster::number_field;
+using cluster::statz_from_json;
 
 /// Both sides of the protocol speak through this (stdin/stdout or a
 /// connected socket); shared with the cluster router via support/.
@@ -483,18 +484,6 @@ inline trace::Json session_close_response(std::uint64_t sid,
   o["summary"] = std::move(s);
   cluster::stamp_version(&o);
   return o;
-}
-
-/// Decode a statz answer produced by statz_response (JSON format only —
-/// the prometheus text shape is for humans/scrapers, not this parser).
-inline bool statz_from_json(const trace::Json& j,
-                            stats::RegistrySnapshot* out, std::string* err) {
-  const trace::Json* s = j.is_object() ? j.find("statz") : nullptr;
-  if (s == nullptr) {
-    if (err != nullptr) *err = "no \"statz\" member in reply";
-    return false;
-  }
-  return stats::from_json(*s, *out, err);
 }
 
 }  // namespace iph::tools
