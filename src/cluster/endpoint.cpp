@@ -181,17 +181,15 @@ int serve_tcp(int port, const char* tool, bool quiet,
   return 0;
 }
 
-void write_doc(const std::string& path, const trace::Json& doc,
+bool write_doc(const std::string& path, const trace::Json& doc,
                const char* tool) {
+  const std::string text = doc.dump(1) + "\n";
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "%s: cannot write %s\n", tool, path.c_str());
-    return;
-  }
-  const std::string text = doc.dump(1);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
+  bool ok = f != nullptr &&
+            std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (f != nullptr) ok = std::fclose(f) == 0 && ok;
+  if (!ok) std::fprintf(stderr, "%s: cannot write %s\n", tool, path.c_str());
+  return ok;
 }
 
 }  // namespace iph::cluster

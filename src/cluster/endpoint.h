@@ -62,9 +62,10 @@ using ConnHandler = std::function<void(int fd, std::uint64_t conn_id)>;
 int serve_tcp(int port, const char* tool, bool quiet,
               const ConnHandler& handle);
 
-/// Write `doc` to `path` as indented JSON; on failure, report
-/// "<tool>: cannot write <path>" to stderr.
-void write_doc(const std::string& path, const trace::Json& doc,
+/// Write `doc` to `path` as indented JSON. False, after reporting
+/// "<tool>: cannot write <path>" to stderr, when the file cannot be
+/// opened, written or closed.
+bool write_doc(const std::string& path, const trace::Json& doc,
                const char* tool);
 
 }  // namespace iph::cluster

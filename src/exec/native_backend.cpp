@@ -109,7 +109,8 @@ ThreadPool* pool_for(ThreadPool& pool, std::size_t n) noexcept {
 
 /// Running extremes of a range of points: lex-min, lex-max, max y,
 /// max x+y and max y-x. Strict comparisons: on a tie the point taken
-/// first stays.
+/// first stays. Only finite points give the chain meaning; filter_chain
+/// sees to it.
 struct Extremes {
   std::array<Point2, 5> pt;
 
@@ -177,9 +178,10 @@ class EdgeLocator {
   std::vector<std::uint32_t> first_;
 };
 
-/// edge_above of the input points not in the sorted p: the entries the
-/// walk left at kNone. `chain` holds positions in p (>= 2 of them), so
-/// the vertex x's are read in order from the sorted copy.
+/// edge_above of the finite input points not in the sorted p: the
+/// entries the walk left at kNone (a non-finite point's stays kNone).
+/// `chain` holds positions in p (>= 2 of them), so the vertex x's are
+/// read in order from the sorted copy.
 void fill_dropped(std::span<const Point2> pts, const Point2* p,
                   const std::vector<Index>& chain, Index* out,
                   ThreadPool* pool) {
@@ -187,7 +189,9 @@ void fill_dropped(std::span<const Point2> pts, const Point2* p,
   for_slices(pool, pts.size(), kChainGrain,
              [&](std::size_t b, std::size_t e, std::size_t) {
                for (std::size_t i = b; i < e; ++i) {
-                 if (out[i] == geom::kNone) out[i] = locator.locate(pts[i].x);
+                 if (out[i] == geom::kNone && geom::is_finite(pts[i])) {
+                   out[i] = locator.locate(pts[i].x);
+                 }
                }
              });
 }
@@ -200,21 +204,38 @@ FilterChain filter_chain(std::span<const Point2> pts, ThreadPool* pool) {
   if (n == 0) return c;
   std::vector<Extremes> part(slice_count(pool, n, kChainGrain),
                              Extremes(pts[0]));
+  std::vector<std::uint64_t> nonfinite(part.size());
   for_slices(pool, n, kChainGrain,
              [&](std::size_t b, std::size_t e, std::size_t s) {
                Extremes x(pts[b]);
-               for (std::size_t i = b + 1; i < e; ++i) x.take(pts[i]);
+               std::uint64_t bits = geom::non_finite_bits(pts[b]);
+               for (std::size_t i = b + 1; i < e; ++i) {
+                 bits |= geom::non_finite_bits(pts[i]);
+                 x.take(pts[i]);
+               }
                part[s] = x;
+               nonfinite[s] = bits;
              });
   // A point extreme overall is extreme in its own slice.
   Extremes ext = part[0];
   for (const Extremes& x : part) {
     for (const Point2& q : x.pt) ext.take(q);
   }
-  std::array<Point2, 5> q = ext.pt;
-  for (const Point2& p : q) {
-    if (!std::isfinite(p.x) || !std::isfinite(p.y)) return c;
+  c.all_finite = true;
+  for (const std::uint64_t bits : nonfinite) c.all_finite &= (bits >> 63) == 0;
+  if (!c.all_finite) {
+    // A non-finite point may have won an extreme or, first in its slice,
+    // frozen them all (no comparison with a NaN holds): take them again,
+    // in one pass over the finite points alone.
+    std::size_t f = 0;
+    while (f < n && !geom::is_finite(pts[f])) ++f;
+    if (f == n) return c;
+    ext = Extremes(pts[f]);
+    for (std::size_t i = f + 1; i < n; ++i) {
+      if (geom::is_finite(pts[i])) ext.take(pts[i]);
+    }
   }
+  std::array<Point2, 5> q = ext.pt;
   std::sort(q.begin(), q.end(), [](const Point2& a, const Point2& b) {
     return geom::lex_less(a, b);
   });

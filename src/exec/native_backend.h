@@ -6,15 +6,16 @@
 // passes with sequential access over a contiguous lex-ordered array —
 //
 //   1. extremes (filter_chain, below): one parallel pass picks five
-//      extreme input points (lex-min, lex-max, max y, max x+y, max y-x)
-//      and builds their strict upper chain, the filter of the
+//      extreme finite input points (lex-min, lex-max, max y, max x+y,
+//      max y-x) and builds their strict upper chain, the filter of the
 //      Akl–Toussaint stage of arXiv:2209.12310,
 //   2. lex_sort (exec/radix.h) with the prune inside it: its count pass
 //      drops each point that orient2d's static filter certifies
 //      strictly below the chain (radix.h FilterChain: no vertex index
-//      can change), its scatter writes only the survivors straight from
-//      the input into the sorted arrays, then each bucket finishes in
-//      cache — no survivor list, no key arrays, no gather,
+//      can change) and each non-finite point (see below), its scatter
+//      writes only the survivors straight from the input into the
+//      sorted arrays, then each bucket finishes in cache — no survivor
+//      list, no key arrays, no gather,
 //   3. fork-join chunk scans: each pool slice monotone-scans its
 //      contiguous x-range of the sorted array into a chunk chain
 //      (pbbsbench-hull style leaf parallelism),
@@ -34,6 +35,17 @@
 // (x, y, index) order of the whole input, which fixes the copy of a
 // duplicated point that names a vertex, and edge_above, when asked, is
 // seq::assign_edges_above's.
+//
+// A point with a NaN or infinite coordinate is not a point of the
+// plane: upper_hull never takes it as an extreme, never keeps it in the
+// sort, and leaves its edge_above entry at kNone, so the answer is the
+// hull of the finite points, with input indices. Finite inputs pay one
+// branch-free test per point for it (geom::non_finite_bits, ORed over
+// the extremes pass); only when that pass saw a non-finite point are the
+// extremes taken again and each point tested in the sort. The wire
+// refuses such points before they get here.
+// upper_hull_presorted's caller vouches for lex order, which only
+// finite points have.
 //
 // All turn decisions go through geom/predicates' exact orient2d — the
 // native engine and the PRAM simulator brace the same geometry, which
@@ -56,8 +68,9 @@
 namespace iph::exec {
 
 /// The engine's first pass: the filter chain (exec/radix.h) of `pts`,
-/// from one parallel pass over the input for its five extremes, or a
-/// chain that does not prune when one is not finite.
+/// from one parallel pass over the input for its five extremes, taken
+/// again over the finite points alone when the input has a non-finite
+/// one; a chain that does not prune when no point is finite.
 FilterChain filter_chain(std::span<const geom::Point2> pts, ThreadPool* pool);
 
 class NativeBackend final : public Backend {

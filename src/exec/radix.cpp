@@ -254,14 +254,22 @@ void sort_bucket(Point2* p, std::uint32_t* o, std::size_t m, Item* scratch) {
   }
 }
 
-/// Bit j set when p[j] survives `chain` (every p[j] when it is null),
-/// for j < m, 1 <= m <= 64.
+/// Bit j set when p[j] survives, for j < m, 1 <= m <= 64: every p[j]
+/// when `chain` is null, else each finite p[j] the chain does not drop.
 std::uint64_t survivors(const FilterChain* chain, const Point2* p,
                         std::size_t m) noexcept {
-  if (chain == nullptr) return ~std::uint64_t{0} >> (64 - m);
-  std::uint64_t w = 0;
-  for (std::size_t j = 0; j < m; ++j) {
-    w |= std::uint64_t{!chain->drops(p[j])} << j;
+  std::uint64_t w = ~std::uint64_t{0} >> (64 - m);
+  if (chain == nullptr) return w;
+  if (chain->prunes()) {
+    w = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      w |= std::uint64_t{!chain->drops(p[j])} << j;
+    }
+  }
+  if (!chain->all_finite) {
+    for (std::size_t j = 0; j < m; ++j) {
+      w &= ~(std::uint64_t{!geom::is_finite(p[j])} << j);
+    }
   }
   return w;
 }
@@ -274,7 +282,7 @@ void each_bit(std::uint64_t w, std::size_t b, const Fn& fn) {
   }
 }
 
-/// lex_sort of the points of `pts` that `chain`, a pruning one, keeps;
+/// lex_sort of the points of `pts` that survive `chain` (survivors());
 /// of all of them when it is null.
 LexSorted sort_survivors(std::span<const Point2> pts,
                          const FilterChain* chain, ThreadPool* pool) {
@@ -282,12 +290,13 @@ LexSorted sort_survivors(std::span<const Point2> pts,
   if (n < kSortParCutoff) pool = nullptr;
   const std::size_t slices = slice_count(pool, n, kGrain);
 
-  // The survivors' finite range of x: a chain's two ends, the lex-min
-  // and lex-max input points, which both survive; else a pass of its own.
-  double lo = chain != nullptr ? chain->v[0].x
-                               : std::numeric_limits<double>::infinity();
-  double hi = chain != nullptr ? chain->v[chain->size - 1].x : -lo;
-  if (chain == nullptr) {
+  // The survivors' finite range of x: a pruning chain's two ends, the
+  // lex-min and lex-max finite input points, which both survive; else a
+  // pass of its own.
+  const bool ends = chain != nullptr && chain->prunes();
+  double lo = ends ? chain->v[0].x : std::numeric_limits<double>::infinity();
+  double hi = ends ? chain->v[chain->size - 1].x : -lo;
+  if (!ends) {
     std::vector<std::array<double, 2>> ranges(slices);
     for_slices(pool, n, kGrain,
                [&](std::size_t b, std::size_t e, std::size_t s) {
@@ -402,7 +411,7 @@ LexSorted lex_sort(std::span<const Point2> pts, ThreadPool* pool) {
 
 LexSorted lex_sort(std::span<const Point2> pts, const FilterChain& chain,
                    ThreadPool* pool) {
-  return sort_survivors(pts, chain.prunes() ? &chain : nullptr, pool);
+  return sort_survivors(pts, &chain, pool);
 }
 
 std::vector<std::uint32_t> lex_sort_indices(std::span<const Point2> pts,

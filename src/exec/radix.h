@@ -6,8 +6,8 @@
 // machinery assume, under an order-preserving u64 key of each
 // coordinate (double_key: unsigned key order is numeric order, -0.0 and
 // +0.0 share a key; SNIPPETS.md Snippet 2's "radix sort the floats"
-// trick), of the points a FilterChain keeps. It is one most-significant-
-// digit-first sort, cache-local after its first pass:
+// trick), of the finite points a FilterChain keeps. It is one most-
+// significant-digit-first sort, cache-local after its first pass:
 //
 //   1. a count pass tests each point against the chain, keeps one
 //      survivor bit per point, and counts the survivors by their slice
@@ -76,15 +76,19 @@ struct FilterChain {
   /// x of the interior vertices v[1], v[2], v[3], padded with +inf: the
   /// edge over x is the number of them strictly left of x.
   std::array<double, 3> split{};
+  /// True when every input point is known to be finite (filter_chain
+  /// tested each), so the sort need not test them again; a chain built
+  /// any other way leaves it false.
+  bool all_finite = false;
 
-  /// False for a chain with nothing to prune against (one column, or a
-  /// non-finite extreme), which keeps every point.
+  /// False for a chain with nothing to prune against (one column, or
+  /// no finite point), which keeps every finite point.
   bool prunes() const noexcept { return size >= 2; }
   /// For a chain that prunes: true when orient2d's static filter
   /// certifies p strictly below the chain edge over p.x. The chain's
-  /// ends are the lex-min and lex-max points, so every x lies in its
-  /// range. Uncertain and NaN points are kept, so the test never runs
-  /// the exact fallback. Branch-free: on a circle it is a coin flip.
+  /// ends are the lex-min and lex-max finite points, so every finite x
+  /// lies in its range. Uncertain points are kept, so the test never
+  /// runs the exact fallback. Branch-free: on a circle it is a coin flip.
   bool drops(const geom::Point2& p) const noexcept;
 };
 
@@ -93,8 +97,9 @@ struct FilterChain {
 /// everything runs on the calling thread with the same result.
 LexSorted lex_sort(std::span<const geom::Point2> pts, ThreadPool* pool);
 
-/// lex_sort of the points of `pts` that `chain` does not drop: order[i]
-/// is an input index and points[i] == pts[order[i]].
+/// lex_sort of the points of `pts` that are finite (geom::is_finite)
+/// and that `chain` does not drop (a chain that does not prune drops
+/// none): order[i] is an input index and points[i] == pts[order[i]].
 LexSorted lex_sort(std::span<const geom::Point2> pts,
                    const FilterChain& chain, ThreadPool* pool);
 

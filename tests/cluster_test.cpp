@@ -11,9 +11,12 @@
 //     protocol: routing by id, session affinity with sid rewriting,
 //     reject retries, io/admin/probe mark-down semantics, and the
 //     exactly-reconciled fleet statz answer.
-// Last, real hullserved and hullrouter processes over TCP: serve_tcp
-// must not keep a finished connection's thread.
+// Last, real hullserved, hullrouter and hullload processes over TCP:
+// serve_tcp must not keep a finished connection's thread, hullserved's
+// --threads bounds every engine it owns, and hullload refuses an answer
+// to a line it never sent.
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -25,7 +28,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -450,6 +455,9 @@ class FakeShard {
   /// Nonzero: session_open answers "ok" with this "sid" instead of one
   /// it issued (a misbehaving backend).
   std::atomic<double> open_sid{0};
+  /// Copies written of each answer; more than one breaks the protocol's
+  /// one answer per line.
+  std::atomic<int> copies{1};
 
   void start(int port) {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -545,7 +553,9 @@ class FakeShard {
         r["shard"] = Json(static_cast<std::uint64_t>(tag_));
       }
       stamp_version(&r);
-      if (!ch.write_line(r.dump())) return;
+      for (int k = 0; k < copies.load(); ++k) {
+        if (!ch.write_line(r.dump())) return;
+      }
     }
   }
 
@@ -1140,6 +1150,14 @@ class ToolProcess {
     return n;
   }
 
+  /// Entries of /proc/<pid>/task: the process's live threads.
+  std::size_t threads() const {
+    return static_cast<std::size_t>(std::distance(
+        std::filesystem::directory_iterator("/proc/" + std::to_string(pid_) +
+                                            "/task"),
+        std::filesystem::directory_iterator{}));
+  }
+
   /// `count` connections, one after another, each with one request
   /// answered before it closes.
   void connect_one_by_one(int count) const {
@@ -1180,6 +1198,46 @@ TEST(Endpoint, FinishedConnectionsReleaseTheirThreads) {
     EXPECT_LT(tool->mappings(), before + 40)
         << (tool == &backend ? "hullserved" : "hullrouter");
   }
+}
+
+// hullload's open loop pairs each answer with the oldest outstanding
+// send. An answer to no line is a broken stream (exit 3): against a
+// backend that answered every line twice, the reader once popped an
+// empty queue and reported ok runs with latencies of 30 million ms.
+TEST(Endpoint, HullloadRefusesAnAnswerToNoLine) {
+  // hullload hangs up mid-stream; the shard's next write must fail with
+  // EPIPE, not kill this process.
+  ::signal(SIGPIPE, SIG_IGN);
+  FakeShard shard(0);
+  shard.copies = 2;
+  const std::string target = "127.0.0.1:" + std::to_string(shard.port());
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const int null = ::open("/dev/null", O_WRONLY);
+    ::dup2(null, STDOUT_FILENO);
+    ::dup2(null, STDERR_FILENO);
+    ::execl(IPH_HULLLOAD_BIN, IPH_HULLLOAD_BIN, "--connect", target.c_str(),
+            "--clients", "1", "--requests", "20", "--qps", "50",
+            static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 3);
+}
+
+// hullserved's --threads bounds every engine it owns, the session
+// manager's native pool and PRAM machine too. Idle at --threads 1
+// --shards 2 it runs main, two small-lane workers and the large-lane
+// worker; with the session engines at hardware width it ran 10
+// threads on a 4-core machine.
+TEST(Endpoint, ThreadsFlagBoundsTheSessionEngines) {
+  const ToolProcess backend({IPH_HULLSERVED_BIN, "--quiet", "--port", "0",
+                             "--threads", "1", "--shards", "2"});
+  ASSERT_GT(backend.port(), 0);
+  EXPECT_LE(backend.threads(), 4u);
 }
 
 }  // namespace

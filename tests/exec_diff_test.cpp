@@ -513,14 +513,28 @@ TEST(ExecDiff, LexSortIsTheXYIndexOrder) {
   }
 }
 
-/// Input indices of the points `chain` keeps, in input order.
+/// Input indices of the finite points `chain` keeps, in input order.
 std::vector<std::uint32_t> kept_by(const FilterChain& chain,
                                    std::span<const geom::Point2> pts) {
   std::vector<std::uint32_t> out;
   for (std::uint32_t i = 0; i < pts.size(); ++i) {
-    if (!chain.prunes() || !chain.drops(pts[i])) out.push_back(i);
+    if (geom::is_finite(pts[i]) && (!chain.prunes() || !chain.drops(pts[i]))) {
+      out.push_back(i);
+    }
   }
   return out;
+}
+
+/// `pts` with a non-finite point at each of `at`, cycling through NaN
+/// and infinite coordinates of either sign.
+std::vector<geom::Point2> with_non_finite(std::vector<geom::Point2> pts,
+                                          const std::vector<std::size_t>& at) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const geom::Point2 odd[] = {{nan, nan}, {0.5, inf}, {nan, 0.25},
+                              {-inf, 1.0}, {0.5, nan}, {inf, -inf}};
+  for (std::size_t k = 0; k < at.size(); ++k) pts[at[k]] = odd[k % 6];
+  return pts;
 }
 
 TEST(ExecDiff, LexSortOfSubsetCarriesInputIndices) {
@@ -532,6 +546,9 @@ TEST(ExecDiff, LexSortOfSubsetCarriesInputIndices) {
   // that does not prune.
   auto inputs = exact_inputs((std::size_t{1} << 15) + 1, 31);
   inputs.emplace_back("tiny", geom::in_disk(5, 31));
+  inputs.emplace_back("non-finite points",
+                      with_non_finite(geom::in_disk((std::size_t{1} << 15) + 1, 31),
+                                      {0, 5, 8192, 16385, 32768}));
   ThreadPool pool(4);
   for (const auto& [name, pts] : inputs) {
     const std::span<const geom::Point2> all(pts);
@@ -633,7 +650,7 @@ bool same_bits(const geom::Point2& a, const geom::Point2& b) {
 /// A chain that drops the points certified strictly below y = 0: the
 /// one edge (-1, 0)-(1, 0), extended both ways. Its range [-1, 1] holds
 /// few of an adversarial input's x's, so the sort's end buckets take
-/// the rest, infinities and NaNs included.
+/// the rest.
 FilterChain below_axis() {
   FilterChain c;
   c.v[0] = {-1.0, 0.0};
@@ -645,9 +662,11 @@ FilterChain below_axis() {
 
 TEST(ExecDiff, PresortAdversarialInputs) {
   // Each input at the leaf size -1, at it and +1, and at the parallel
-  // cutoff -1, at it and +1, whole and filtered by two chains (its own,
-  // and below_axis), through both lex_sort overloads at pool widths 1-4
-  // and inline, against a stable sort of the points the chain keeps by
+  // cutoff -1, at it and +1, at pool widths 1-4 and inline: whole
+  // through the plain lex_sort, infinities and NaNs included, and
+  // through the engine's overload with three chains (one that does not
+  // prune, its own, and below_axis), which keeps the finite points the
+  // chain keeps. Each against a stable sort of the points it keeps by
   // lex_less — or, where NaNs make lex_less no order, by the (x-key,
   // y-key) order double_key defines. Points must come back bit for bit.
   const std::size_t sizes[] = {kSortLeaf - 1,      kSortLeaf,
@@ -668,31 +687,36 @@ TEST(ExecDiff, PresortAdversarialInputs) {
         const auto kb = std::pair(double_key(pts[b].x), double_key(pts[b].y));
         return ka < kb;
       };
-      const std::pair<const char*, FilterChain> chains[] = {
-          {"all", FilterChain{}},
-          {"own chain", filter_chain(pts, nullptr)},
-          {"below y = 0", below_axis()}};
-      for (const auto& [which, chain] : chains) {
-        std::vector<std::uint32_t> want = kept_by(chain, pts);
+      std::vector<ThreadPool*> widths = {nullptr};
+      for (const auto& pool : pools) widths.push_back(pool.get());
+      auto expect_sorted = [&](std::vector<std::uint32_t> want,
+                               const auto& sort, const std::string& which) {
         std::stable_sort(want.begin(), want.end(), before);
-        std::vector<ThreadPool*> widths = {nullptr};
-        for (const auto& pool : pools) widths.push_back(pool.get());
         for (ThreadPool* p : widths) {
           const std::string label =
               name + " n=" + std::to_string(n) + " " + which + " width " +
               std::to_string(p != nullptr ? p->threads() : 0);
-          std::vector<LexSorted> got;
-          got.push_back(lex_sort(pts, chain, p));
-          if (!chain.prunes()) got.push_back(lex_sort(pts, p));
-          for (const LexSorted& g : got) {
-            ASSERT_EQ(g.order, want) << label;
-            ASSERT_EQ(g.points.size(), want.size()) << label;
-            for (std::size_t i = 0; i < want.size(); ++i) {
-              ASSERT_TRUE(same_bits(g.points[i], pts[want[i]]))
-                  << label << " point " << i;
-            }
+          const LexSorted g = sort(p);
+          ASSERT_EQ(g.order, want) << label;
+          ASSERT_EQ(g.points.size(), want.size()) << label;
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_TRUE(same_bits(g.points[i], pts[want[i]]))
+                << label << " point " << i;
           }
         }
+      };
+      std::vector<std::uint32_t> every(pts.size());
+      std::iota(every.begin(), every.end(), 0u);
+      expect_sorted(every, [&](ThreadPool* p) { return lex_sort(pts, p); },
+                    "plain");
+      const std::pair<const char*, FilterChain> chains[] = {
+          {"no prune", FilterChain{}},
+          {"own chain", filter_chain(pts, nullptr)},
+          {"below y = 0", below_axis()}};
+      for (const auto& [which, chain] : chains) {
+        expect_sorted(kept_by(chain, pts),
+                      [&](ThreadPool* p) { return lex_sort(pts, chain, p); },
+                      which);
       }
     }
   }
@@ -914,8 +938,11 @@ TEST(ExecDiff, OverflowAndInfinityReturnWithoutCrashing) {
   // checked — and that the engine returns at all.
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<std::pair<std::string, std::vector<geom::Point2>>> inputs;
-  inputs.emplace_back("overflowing differences",
-                      box(5000, -1e308, 1e308, -1e308, 1e308, 5));
+  // Finite coordinates out to +-1e308 (box() would compute x1 - x0 =
+  // 2e308, an infinity, and make every point non-finite).
+  std::vector<geom::Point2> wide = box(5000, -1.0, 1.0, -1.0, 1.0, 5);
+  for (geom::Point2& p : wide) p = {p.x * 1e308, p.y * 1e308};
+  inputs.emplace_back("overflowing differences", std::move(wide));
   for (const geom::Point2 odd : {geom::Point2{inf, 0.0}, geom::Point2{0.0, -inf},
                                  geom::Point2{-inf, 1.0}, geom::Point2{0.5, inf}}) {
     std::vector<geom::Point2> pts = geom::in_disk(20000, 9);
@@ -932,6 +959,114 @@ TEST(ExecDiff, OverflowAndInfinityReturnWithoutCrashing) {
         ASSERT_LT(v, pts.size()) << name;
       }
       EXPECT_EQ(run.hull.edge_above.size(), ask ? pts.size() : 0u) << name;
+    }
+  }
+}
+
+/// 20,000 points: 10,000 in the triangle (9, 0), (10, 1), (11, 0), then
+/// 10,000 on the upper half of the unit circle at the origin.
+std::vector<geom::Point2> triangle_then_arc(std::uint64_t seed) {
+  support::Rng rng(seed, /*stream=*/0x747261ULL);  // "tra"
+  std::vector<geom::Point2> pts;
+  pts.reserve(20000);
+  for (int i = 0; i < 10000; ++i) {
+    const double x = 9.0 + 2.0 * rng.next_double();
+    pts.push_back({x, (1.0 - std::fabs(x - 10.0)) * rng.next_double()});
+  }
+  const double pi = std::acos(-1.0);
+  for (int i = 0; i < 10000; ++i) {
+    const double t = pi * i / 9999.0;
+    pts.push_back({std::cos(t), std::sin(t)});
+  }
+  return pts;
+}
+
+/// Every pool-slice start of the engine's passes over its n input
+/// points (slice grain 2^13) at widths 1-4.
+std::vector<std::size_t> input_slice_starts(std::size_t n) {
+  std::vector<std::size_t> out;
+  for (std::size_t width = 1; width <= 4; ++width) {
+    const std::size_t slices = std::min(width, (n + 8191) / 8192);
+    const std::size_t chunk = (n + slices - 1) / slices;
+    for (std::size_t s = 0; s < slices; ++s) out.push_back(s * chunk);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+TEST(ExecDiff, NonFinitePointsAreNotPointsOfThePlane) {
+  // A point with a NaN or infinite coordinate is never an extreme and
+  // never a survivor, and its edge_above entry is kNone: at every
+  // width, asked or not, the answer is the sequential scan's hull of
+  // the finite points, in input indices. A NaN first in a pool slice
+  // once froze that slice's extremes, a NaN first in the input once
+  // broke the chunk scans and the merge, and an infinite extreme once
+  // let its point into the sort: each gave a different hull per width.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto with = [](std::vector<geom::Point2> pts, std::size_t i,
+                 geom::Point2 odd) {
+    pts[i] = odd;
+    return pts;
+  };
+  std::vector<std::pair<std::string, std::vector<geom::Point2>>> inputs;
+  inputs.reserve(16);
+  inputs.emplace_back("triangle then arc, NaN at 10000",
+                      with(triangle_then_arc(3), 10000, {nan, nan}));
+  inputs.emplace_back("triangle then arc, NaN at 0",
+                      with(triangle_then_arc(3), 0, {nan, nan}));
+  inputs.emplace_back("disk, (0.5, inf) at 7777",
+                      with(geom::in_disk(20000, 9), 7777, {0.5, inf}));
+  inputs.emplace_back("disk, (0.5, NaN) at 0",
+                      with(geom::in_disk(20000, 9), 0, {0.5, nan}));
+  for (const std::size_t n : {std::size_t{20000}, (std::size_t{1} << 15) + 1}) {
+    const std::string at = " n=" + std::to_string(n);
+    inputs.emplace_back("disk, non-finite at every slice start" + at,
+                        with_non_finite(geom::in_disk(n, 9),
+                                        input_slice_starts(n)));
+    inputs.emplace_back("circle, non-finite at every slice start" + at,
+                        with_non_finite(geom::on_circle(n, 9),
+                                        input_slice_starts(n)));
+  }
+  inputs.emplace_back("tiny, NaN first", std::vector<geom::Point2>{
+                                             {nan, 1.0}, {0, 0}, {1, 1}, {2, 0}});
+  inputs.emplace_back("one finite point",
+                      std::vector<geom::Point2>{{inf, 1.0}, {3, 4}, {nan, nan}});
+  inputs.emplace_back("no finite point",
+                      with_non_finite(std::vector<geom::Point2>(3), {0, 1, 2}));
+
+  for (const auto& [name, pts] : inputs) {
+    std::vector<geom::Point2> finite;
+    std::vector<geom::Index> index;  // input index of finite[k]
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      if (!geom::is_finite(pts[i])) continue;
+      finite.push_back(pts[i]);
+      index.push_back(static_cast<geom::Index>(i));
+    }
+    geom::UpperHull2D hull;
+    hull.vertices = seq_vertex_indices(finite);
+    const std::vector<geom::Index> edges =
+        seq::assign_edges_above(finite, hull);
+    std::vector<geom::Index> want_above(pts.size(), geom::kNone);
+    for (std::size_t k = 0; k < finite.size(); ++k) {
+      want_above[index[k]] = edges[k];
+    }
+    for (geom::Index& v : hull.vertices) v = index[v];
+    for (unsigned width = 1; width <= 4; ++width) {
+      for (const bool ask : {true, false}) {
+        const HullRun run =
+            native_at(width).upper_hull(pts, 0, /*alpha=*/8, ask);
+        const std::string at = name + " width " + std::to_string(width) +
+                               (ask ? " asked" : " skipped");
+        expect_same(run.hull.upper.vertices, hull.vertices,
+                    at + " vertices vs seq scan of the finite points");
+        if (ask) {
+          expect_same(run.hull.edge_above, want_above, at + " edge_above");
+        } else {
+          EXPECT_TRUE(run.hull.edge_above.empty()) << at;
+        }
+      }
     }
   }
 }

@@ -1,19 +1,20 @@
-// hullload — closed/open-loop load generator for the hull service.
+// hullload — closed/open-loop load generator for a running hullserved
+// or hullrouter. It speaks only the wire (serve_wire.h):
 //
-//   hullload [options]                     drive an in-process HullService
-//   hullload --connect HOST:PORT [...]     drive a running hullserved
+//   hullload --connect HOST:PORT [...]     drive one target
 //   hullload --endpoints H:P[,H:P...]      drive several targets at once
 //                                          (clients round-robin across
 //                                          them; --scrape merges)
 //
-// --clients C threads each issue --requests R queries of workload
-// --workload/--n (per-request generator seed = --seed + request id, so
-// every query is distinct but the run is reproducible). Closed loop by
-// default: each client waits for its answer before sending the next.
-// --qps Q switches to open loop: clients send at a combined target rate
-// of Q regardless of completions (over TCP a per-client reader thread
-// matches responses to send times in FIFO order — hullserved answers
-// each connection in submission order).
+// One of the two is required (a run without a target is a usage error).
+// --clients C threads each open one connection and issue --requests R
+// queries of workload --workload/--n (per-request generator seed =
+// --seed + request id, so every query is distinct but the run is
+// reproducible). Closed loop by default: each client waits for its
+// answer before sending the next. --qps Q switches to open loop: clients
+// send at a combined target rate of Q regardless of completions, and a
+// per-client reader thread matches responses to send times in FIFO
+// order — hullserved answers each connection in submission order.
 //
 // Prints counts per terminal status, achieved qps, and p50/p95/p99
 // end-to-end latency over the ok responses; --json appends one
@@ -59,8 +60,8 @@
 // rebuilds). The checks key off counter PRESENCE in the diffed
 // snapshot, so servers running --obs-capacity 0 still reconcile.
 //
-// --trace-slowest N fetches the server's flight recorder after the run
-// (tracez order=slowest) and prints the span trees of the N
+// --trace-slowest N fetches the first target's flight recorder after
+// the run (tracez order=slowest) and prints the span trees of the N
 // worst-latency retained requests — queue_wait/lease/exec plus, on the
 // PRAM path, the linked per-phase simulator spans.
 //
@@ -86,9 +87,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
-#include <future>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -99,21 +99,18 @@
 #include "cluster/merge.h"
 #include "cluster/stats.h"
 #include "exec/backend.h"
-#include "geom/workloads.h"
 #include "obs/flight_recorder.h"
+#include "obs/span.h"
 #include "serve/request.h"
-#include "serve/service.h"
+#include "serve/stats.h"
 #include "serve_wire.h"
-#include "session/manager.h"
+#include "session/stats.h"
 #include "trace/json.h"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using iph::serve::HullService;
-using iph::serve::Response;
-using iph::serve::ServiceConfig;
-using iph::serve::Status;
+using iph::cluster::Endpoint;
 using iph::tools::LineChannel;
 using iph::trace::Json;
 
@@ -125,21 +122,20 @@ struct Options {
   std::string workload = "disk";
   std::uint64_t seed = 1;
   double deadline_ms = 0;
-  std::string connect;  // empty = in-process
+  std::string connect;
   /// Multi-target mode (--endpoints): client c drives
   /// targets[c % size]; --scrape scrapes and merges all of them.
   /// --connect is the one-element special case.
-  std::vector<std::string> endpoints;
+  std::vector<Endpoint> endpoints;
   /// Engine every request asks for ("default" lets the server pick —
-  /// tagged on the wire / Request so the scrape reconciliation knows
-  /// which backend-labeled counter must absorb the run).
+  /// tagged on the wire so the scrape reconciliation knows which
+  /// backend-labeled counter must absorb the run).
   iph::exec::BackendKind backend = iph::exec::BackendKind::kDefault;
   bool expect_all_ok = false;
   bool json = false;
   bool scrape = false;
   double scrape_tol = 8.0;   // median ratio tolerance; 0 disables
   std::string scrape_out;    // write diffed snapshot JSON here
-  ServiceConfig cfg;  // in-process service shape
   /// Streaming-session mode: one session per client, --requests
   /// appends of `append_points` points each.
   bool stream = false;
@@ -151,10 +147,9 @@ struct Options {
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--clients C] [--requests R] [--qps Q] [--n N]\n"
+      "usage: %s (--connect HOST:PORT | --endpoints H:P[,H:P...])\n"
+      "          [--clients C] [--requests R] [--qps Q] [--n N]\n"
       "          [--workload W] [--seed S] [--deadline-ms D]\n"
-      "          [--connect HOST:PORT | --endpoints H:P[,H:P...] |\n"
-      "           --shards N --threads N --capacity N --window-us U]\n"
       "          [--backend pram|native|default]\n"
       "          [--stream] [--append-points K]\n"
       "          [--expect-all-ok] [--json]\n"
@@ -223,76 +218,78 @@ Clock::time_point send_at(Clock::time_point start, const Options& opt,
                      static_cast<std::int64_t>(offset_s * 1e6));
 }
 
-Tally run_client_inproc(HullService& svc, const Options& opt, int client,
-                        Clock::time_point start) {
-  // Points are generated up front so the measured loop is pure serving.
-  std::vector<std::vector<iph::geom::Point2>> pts(
-      static_cast<std::size_t>(opt.requests));
-  std::vector<iph::serve::RequestId> ids(
-      static_cast<std::size_t>(opt.requests));
-  for (int i = 0; i < opt.requests; ++i) {
-    ids[i] = static_cast<iph::serve::RequestId>(client) * opt.requests + i +
-             1;
-    if (!iph::tools::make_workload(opt.workload, opt.n, opt.seed + ids[i],
-                                   &pts[i])) {
-      std::abort();  // workload validated in main()
-    }
-  }
-  Tally t;
-  auto make_req = [&](int i) {
-    iph::serve::Request r;
-    r.id = ids[i];
-    r.points = pts[i];
-    r.backend = opt.backend;
-    if (opt.deadline_ms > 0) {
-      r.deadline = Clock::now() + std::chrono::microseconds(static_cast<
-                       std::int64_t>(opt.deadline_ms * 1000.0));
-    }
-    return r;
-  };
-  if (opt.qps <= 0) {  // closed loop: send, wait, repeat
+/// The run-wide number of client c's i-th line, from 1: a batch
+/// request's id, and the generator seed's offset from --seed.
+std::uint64_t line_number(const Options& opt, int client, int i) {
+  return static_cast<std::uint64_t>(client) *
+             static_cast<std::uint64_t>(opt.requests) +
+         static_cast<std::uint64_t>(i) + 1;
+}
+
+/// One connection's run of --requests lines: line(i) makes the i-th,
+/// answer(reply, ms) takes each reply with its latency. Closed loop by
+/// default: send, wait for the answer, repeat. With --qps the sends are
+/// paced while a reader thread pairs each reply with the oldest
+/// outstanding send time — positional FIFO matching, guaranteed by
+/// hullserved's in-order responder. False when the connection breaks,
+/// or when a reply arrives with no line outstanding to answer.
+bool drive(LineChannel& chan, const Options& opt, int client,
+           Clock::time_point start,
+           const std::function<std::string(int)>& line,
+           const std::function<void(const std::string&, double)>& answer) {
+  std::string reply;
+  if (opt.qps <= 0) {
     for (int i = 0; i < opt.requests; ++i) {
       const auto t0 = Clock::now();
-      const Response resp = svc.submit(make_req(i)).get();
-      const double ms = iph::serve::ms_between(t0, Clock::now());
-      t.count(iph::serve::status_name(resp.status), ms);
+      if (!chan.write_line(line(i)) || !chan.read_line(&reply)) return false;
+      answer(reply, iph::serve::ms_between(t0, Clock::now()));
     }
-  } else {  // open loop: pace sends, collect afterwards
-    std::vector<std::future<Response>> futs;
-    futs.reserve(static_cast<std::size_t>(opt.requests));
+    return true;
+  }
+  std::deque<Clock::time_point> sent;
+  std::mutex mu;
+  std::atomic<bool> ok{true};
+  std::thread reader([&] {
     for (int i = 0; i < opt.requests; ++i) {
-      std::this_thread::sleep_until(send_at(start, opt, client, i));
-      futs.push_back(svc.submit(make_req(i)));
+      if (!chan.read_line(&reply)) {
+        ok.store(false);
+        return;
+      }
+      Clock::time_point t0;
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        if (sent.empty()) {
+          ok.store(false);
+          return;
+        }
+        t0 = sent.front();
+        sent.pop_front();
+      }
+      answer(reply, iph::serve::ms_between(t0, Clock::now()));
     }
-    for (auto& f : futs) {
-      const Response resp = f.get();
-      // The service stamps submit -> response-ready; that IS the
-      // open-loop latency (the client never waited in between).
-      t.count(iph::serve::status_name(resp.status), resp.metrics.e2e_ms);
+  });
+  for (int i = 0; i < opt.requests && ok.load(); ++i) {
+    std::this_thread::sleep_until(send_at(start, opt, client, i));
+    const std::string out = line(i);
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      sent.push_back(Clock::now());
+    }
+    if (!chan.write_line(out)) {
+      ok.store(false);
+      break;
     }
   }
-  return t;
+  reader.join();
+  return ok.load();
 }
 
-int connect_to(const std::string& hostport) {
-  iph::cluster::Endpoint ep;
-  return iph::cluster::parse_endpoint(hostport, &ep) ? iph::cluster::dial(ep)
-                                                     : -1;
-}
-
-Tally run_client_tcp(const Options& opt, const std::string& target,
-                     int client, Clock::time_point start,
-                     std::atomic<bool>* failed) {
-  Tally t;
-  const int fd = connect_to(target);
-  if (fd < 0) {
-    failed->store(true);
-    return t;
-  }
-  LineChannel chan(fd, fd);
+/// One batch client: --requests generated queries through drive(),
+/// each answer tallied by its status.
+bool run_batch(LineChannel& chan, const Options& opt, int client,
+               Clock::time_point start, Tally* t) {
   auto request_line = [&](int i) {
-    const auto id = static_cast<iph::serve::RequestId>(client) *
-                        opt.requests + i + 1;
+    const std::uint64_t id = line_number(opt, client, i);
     Json j = Json::object();
     j["id"] = Json(id);
     j["n"] = Json(static_cast<std::uint64_t>(opt.n));
@@ -304,256 +301,173 @@ Tally run_client_tcp(const Options& opt, const std::string& target,
     if (opt.deadline_ms > 0) j["deadline_ms"] = Json(opt.deadline_ms);
     return j.dump();
   };
-  auto status_of = [](const std::string& line) -> std::string {
+  auto tally = [&](const std::string& reply, double ms) {
     Json j;
     std::string err;
-    if (!Json::parse(line, &j, &err)) return "error";
-    if (j.find("error") != nullptr) return "error";
-    return j.get_str("status", "error");
+    if (!Json::parse(reply, &j, &err) || j.find("error") != nullptr) {
+      t->count("error", ms);
+    } else {
+      t->count(j.get_str("status", "error"), ms);
+    }
   };
-  if (opt.qps <= 0) {  // closed loop
-    std::string line;
-    for (int i = 0; i < opt.requests; ++i) {
-      const auto t0 = Clock::now();
-      if (!chan.write_line(request_line(i)) || !chan.read_line(&line)) {
-        failed->store(true);
-        break;
-      }
-      const double ms = iph::serve::ms_between(t0, Clock::now());
-      t.count(status_of(line), ms);
-    }
-  } else {
-    // Open loop over TCP: the sender paces writes while a reader thread
-    // pairs each response with the oldest outstanding send time —
-    // positional FIFO matching, guaranteed by hullserved's in-order
-    // responder.
-    std::deque<Clock::time_point> sent;
-    std::mutex mu;
-    std::thread reader([&] {
-      std::string line;
-      for (int i = 0; i < opt.requests; ++i) {
-        if (!chan.read_line(&line)) {
-          failed->store(true);
-          return;
-        }
-        Clock::time_point t0;
-        {
-          std::lock_guard<std::mutex> lk(mu);
-          t0 = sent.front();
-          sent.pop_front();
-        }
-        const double ms = iph::serve::ms_between(t0, Clock::now());
-        t.count(status_of(line), ms);
-      }
-    });
-    for (int i = 0; i < opt.requests; ++i) {
-      std::this_thread::sleep_until(send_at(start, opt, client, i));
-      const std::string line = request_line(i);
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        sent.push_back(Clock::now());
-      }
-      if (!chan.write_line(line)) {
-        failed->store(true);
-        break;
-      }
-    }
-    reader.join();
-  }
-  ::close(fd);
-  return t;
+  return drive(chan, opt, client, start, request_line, tally);
 }
 
-/// One streaming client against an in-process SessionManager: open,
-/// --requests appends (paced when --qps is set), close. ok/latency
-/// tally entries are per-append delta latencies.
-Tally run_stream_inproc(iph::session::SessionManager& mgr,
-                        const Options& opt, int client,
-                        Clock::time_point start) {
-  Tally t;
-  iph::session::OpenInfo info;
-  if (mgr.open(opt.backend, &info) != iph::session::SessionStatus::kOk) {
-    ++t.errors;
-    return t;
-  }
-  for (int i = 0; i < opt.requests; ++i) {
-    const std::uint64_t append_seed =
-        opt.seed + static_cast<std::uint64_t>(client) *
-                       static_cast<std::uint64_t>(opt.requests) +
-        static_cast<std::uint64_t>(i) + 1;
-    std::vector<iph::geom::Point2> pts;
-    if (!iph::tools::make_workload(opt.workload, opt.append_points,
-                                   append_seed, &pts)) {
-      std::abort();  // workload validated in main()
-    }
-    if (opt.qps > 0) {
-      std::this_thread::sleep_until(send_at(start, opt, client, i));
-    }
-    const auto t0 = Clock::now();
-    iph::session::AppendResult res;
-    if (mgr.append(info.sid, pts, &res) !=
-        iph::session::SessionStatus::kOk) {
-      ++t.errors;
-      continue;
-    }
-    t.count("ok", iph::serve::ms_between(t0, Clock::now()));
-    t.delta_ops += res.ops.size();
-    if (res.rebuilt) ++t.rebuilds;
-    if (res.rebuild_mismatch) ++t.mismatches;
-  }
-  iph::session::CloseSummary sum;
-  if (mgr.close(info.sid, &sum) != iph::session::SessionStatus::kOk) {
-    ++t.errors;
-    return t;
-  }
-  t.points += sum.points_seen;
-  t.peak_aux_max = std::max(t.peak_aux_max, sum.peak_aux_cells);
-  return t;
-}
-
-/// One streaming client over TCP. The session handshake (open, close)
-/// is synchronous; the append phase is closed loop or, with --qps,
-/// open loop with the same FIFO reader-thread pairing as batch mode.
-Tally run_stream_tcp(const Options& opt, const std::string& target,
-                     int client, Clock::time_point start,
-                     std::atomic<bool>* failed) {
-  Tally t;
-  const int fd = connect_to(target);
-  if (fd < 0) {
-    failed->store(true);
-    return t;
-  }
-  LineChannel chan(fd, fd);
+/// One command line and its parsed one-line answer.
+bool exchange(LineChannel& chan, const Json& cmd, Json* reply) {
   std::string line;
-  auto round_trip = [&](const Json& j) -> bool {
-    return chan.write_line(j.dump()) && chan.read_line(&line);
-  };
+  std::string err;
+  return chan.write_line(cmd.dump()) && chan.read_line(&line) &&
+         Json::parse(line, reply, &err);
+}
 
+/// One streaming client: session_open, --requests session_appends
+/// through drive() (the tally's ok latencies are per-append delta
+/// latencies), session_close. A refused or unanswered open or close is
+/// a client-side error; false only when the appends' connection breaks.
+bool run_session(LineChannel& chan, const Options& opt, int client,
+                 Clock::time_point start, Tally* t) {
   Json open = Json::object();
   open["cmd"] = Json("session_open");
   if (opt.backend != iph::exec::BackendKind::kDefault) {
     open["backend"] = Json(iph::exec::backend_name(opt.backend));
   }
   Json reply;
-  std::string err;
-  if (!round_trip(open) || !Json::parse(line, &reply, &err) ||
-      reply.get_str("status") != "ok") {
-    ++t.errors;
-    ::close(fd);
-    return t;
+  if (!exchange(chan, open, &reply) || reply.get_str("status") != "ok") {
+    ++t->errors;
+    return true;
   }
   const auto sid = static_cast<std::uint64_t>(reply.get_num("sid", 0));
 
   auto append_line = [&](int i) {
-    const std::uint64_t append_seed =
-        opt.seed + static_cast<std::uint64_t>(client) *
-                       static_cast<std::uint64_t>(opt.requests) +
-        static_cast<std::uint64_t>(i) + 1;
     Json j = Json::object();
     j["cmd"] = Json("session_append");
     j["sid"] = Json(sid);
     j["n"] = Json(static_cast<std::uint64_t>(opt.append_points));
     j["workload"] = Json(opt.workload);
-    j["seed"] = Json(append_seed);
+    j["seed"] = Json(opt.seed + line_number(opt, client, i));
     return j.dump();
   };
-  auto tally_append = [&](const std::string& resp_line, double ms) {
+  auto tally = [&](const std::string& line, double ms) {
     Json j;
-    std::string perr;
-    if (!Json::parse(resp_line, &j, &perr) ||
-        j.get_str("status") != "ok") {
-      ++t.errors;
+    std::string err;
+    if (!Json::parse(line, &j, &err) || j.get_str("status") != "ok") {
+      ++t->errors;
       return;
     }
-    t.count("ok", ms);
+    t->count("ok", ms);
     if (const Json* d = j.find("delta"); d != nullptr && d->is_array()) {
-      t.delta_ops += d->size();
+      t->delta_ops += d->size();
     }
     const Json* rb = j.find("rebuilt");
-    if (rb != nullptr && rb->as_bool()) ++t.rebuilds;
+    if (rb != nullptr && rb->as_bool()) ++t->rebuilds;
   };
+  if (!drive(chan, opt, client, start, append_line, tally)) return false;
 
-  if (opt.qps <= 0) {  // closed loop
-    for (int i = 0; i < opt.requests; ++i) {
-      const auto t0 = Clock::now();
-      if (!chan.write_line(append_line(i)) || !chan.read_line(&line)) {
-        failed->store(true);
-        break;
-      }
-      tally_append(line, iph::serve::ms_between(t0, Clock::now()));
-    }
-  } else {  // open loop, FIFO positional matching
-    std::deque<Clock::time_point> sent;
-    std::mutex mu;
-    std::thread reader([&] {
-      std::string rline;
-      for (int i = 0; i < opt.requests; ++i) {
-        if (!chan.read_line(&rline)) {
-          failed->store(true);
-          return;
-        }
-        Clock::time_point t0;
-        {
-          std::lock_guard<std::mutex> lk(mu);
-          t0 = sent.front();
-          sent.pop_front();
-        }
-        tally_append(rline, iph::serve::ms_between(t0, Clock::now()));
-      }
-    });
-    for (int i = 0; i < opt.requests; ++i) {
-      std::this_thread::sleep_until(send_at(start, opt, client, i));
-      const std::string out = append_line(i);
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        sent.push_back(Clock::now());
-      }
-      if (!chan.write_line(out)) {
-        failed->store(true);
-        break;
-      }
-    }
-    reader.join();
-  }
-
-  Json close_cmd = Json::object();
-  close_cmd["cmd"] = Json("session_close");
-  close_cmd["sid"] = Json(sid);
-  if (!round_trip(close_cmd) || !Json::parse(line, &reply, &err) ||
-      reply.get_str("status") != "ok") {
-    ++t.errors;
-    ::close(fd);
-    return t;
+  Json close = Json::object();
+  close["cmd"] = Json("session_close");
+  close["sid"] = Json(sid);
+  if (!exchange(chan, close, &reply) || reply.get_str("status") != "ok") {
+    ++t->errors;
+    return true;
   }
   if (const Json* s = reply.find("summary"); s != nullptr) {
-    t.points += static_cast<std::uint64_t>(s->get_num("points", 0));
-    t.mismatches +=
+    t->points += static_cast<std::uint64_t>(s->get_num("points", 0));
+    t->mismatches +=
         static_cast<std::uint64_t>(s->get_num("mismatches", 0));
-    t.peak_aux_max = std::max(
-        t.peak_aux_max,
+    t->peak_aux_max = std::max(
+        t->peak_aux_max,
         static_cast<std::uint64_t>(s->get_num("peak_aux_cells", 0)));
   }
-  ::close(fd);
-  return t;
+  return true;
 }
 
 /// Scrape every target's statz into `out` (one snapshot per target, in
 /// order). False (with the failing target named in *err) on any miss.
-bool scrape_targets(const std::vector<std::string>& targets,
+bool scrape_targets(const std::vector<Endpoint>& targets,
                     std::vector<iph::stats::RegistrySnapshot>* out,
                     std::string* err) {
   out->assign(targets.size(), {});
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    iph::cluster::Endpoint ep;
-    std::string why = "connect failed";
-    if (!iph::cluster::parse_endpoint(targets[i], &ep) ||
-        !iph::cluster::scrape_statz(ep, &(*out)[i], &why)) {
-      *err = targets[i] + ": " + why;
+    std::string why;
+    if (!iph::cluster::scrape_statz(targets[i], &(*out)[i], &why)) {
+      *err = targets[i].str() + ": " + why;
       return false;
     }
   }
   return true;
 }
+
+/// What both scrape checks share: the run reconciles when the client
+/// saw no errors, every identity passed to equal() holds, and the
+/// server's median latency is within the tolerance of the client's.
+/// Each failure prints why.
+class Reconcile {
+ public:
+  explicit Reconcile(const Tally& total) : total_(total) {
+    if (total.errors != 0) {
+      std::fprintf(stderr,
+                   "hullload scrape: RECONCILE FAIL: %llu client-side "
+                   "errors\n",
+                   static_cast<unsigned long long>(total.errors));
+      ok_ = false;
+    }
+  }
+
+  void equal(const std::string& what, std::uint64_t server,
+             std::uint64_t client) {
+    if (server != client) {
+      std::fprintf(stderr,
+                   "hullload scrape: RECONCILE FAIL: %s server %llu != "
+                   "client %llu\n",
+                   what.c_str(), static_cast<unsigned long long>(server),
+                   static_cast<unsigned long long>(client));
+      ok_ = false;
+    }
+  }
+
+  /// Tracing conservation: `traces` published traces of `kind`, and
+  /// `spans` recorded spans. Keyed off counter PRESENCE: an
+  /// --obs-capacity 0 server never mints these counters and skips it.
+  void obs(const iph::stats::RegistrySnapshot& d, const std::string& kind,
+           std::uint64_t traces, std::uint64_t spans) {
+    namespace on = iph::obs::statnames;
+    const std::string label = "{kind=" + kind + "}";
+    if (const std::uint64_t* pub = d.counter(iph::stats::labeled(
+            on::kTracesPublishedBase, "kind", kind))) {
+      equal("obs traces published" + label, *pub, traces);
+    }
+    if (const std::uint64_t* rec = d.counter(iph::stats::labeled(
+            on::kSpansRecordedBase, "kind", kind))) {
+      equal("obs spans recorded" + label, *rec, spans);
+    }
+  }
+
+  /// The verdict, after the median check of the server's `latency`
+  /// histogram against the client's p50 (skipped when `tol` is 0 or
+  /// either side has no samples).
+  bool done(const iph::stats::HistogramSnapshot* latency, double client_p50,
+            double tol) {
+    if (tol > 0 && total_.ok > 0 && latency != nullptr &&
+        latency->count > 0) {
+      const double server_p50 = latency->quantile(0.50);
+      const double lo = std::max(std::min(server_p50, client_p50), 0.05);
+      const double ratio = std::max(server_p50, client_p50) / lo;
+      if (ratio > tol) {
+        std::fprintf(stderr,
+                     "hullload scrape: MEDIAN DIVERGENCE: server %.3f ms vs "
+                     "client %.3f ms (ratio %.2f > tol %.2f)\n",
+                     server_p50, client_p50, ratio, tol);
+        ok_ = false;
+      }
+    }
+    return ok_;
+  }
+
+ private:
+  const Tally& total_;
+  bool ok_ = true;
+};
 
 /// Cross-check the server-side snapshot diff against the client tally
 /// and print the side-by-side summary. Returns false (after printing
@@ -625,104 +539,61 @@ bool check_scrape(const iph::stats::RegistrySnapshot& d, const Tally& total,
                  static_cast<unsigned long long>(rt_io));
   }
 
-  bool ok = true;
-  auto must_equal = [&](const char* what, std::uint64_t server,
-                        std::uint64_t client) {
-    if (server != client) {
-      std::fprintf(stderr,
-                   "hullload scrape: RECONCILE FAIL: %s server %llu != "
-                   "client %llu\n",
-                   what, static_cast<unsigned long long>(server),
-                   static_cast<unsigned long long>(client));
-      ok = false;
-    }
-  };
-  if (total.errors != 0) {
-    std::fprintf(stderr,
-                 "hullload scrape: RECONCILE FAIL: %llu client-side "
-                 "errors\n",
-                 static_cast<unsigned long long>(total.errors));
-    ok = false;
-  }
+  Reconcile r(total);
   const std::uint64_t client_total = total.ok + total.rejected_full +
                                      total.rejected_shutdown + total.expired;
   if (forwards == nullptr) {
-    must_equal("submitted", srv_submitted, client_total);
-    must_equal("rejected_full", srv_rej_full, total.rejected_full);
-    must_equal("rejected_shutdown", srv_rej_shutdown,
-               total.rejected_shutdown);
+    r.equal("submitted", srv_submitted, client_total);
+    r.equal("rejected_full", srv_rej_full, total.rejected_full);
+    r.equal("rejected_shutdown", srv_rej_shutdown, total.rejected_shutdown);
   } else {
     // A retried request submits once per executed attempt but the
     // client tallies exactly one answer; a rejected attempt is either
     // retried (counted in retries{reason}) or surfaced (counted by the
     // client). io retries forwarded nothing, so they appear in neither
     // submitted nor the per-reason identities.
-    must_equal("fleet submitted vs client + retries", srv_submitted,
-               client_total + rt_full + rt_shutdown);
-    must_equal("router forwards vs fleet submitted", *forwards,
-               srv_submitted);
-    must_equal("rejected_full vs surfaced + retried", srv_rej_full,
-               total.rejected_full + rt_full);
-    must_equal("rejected_shutdown vs surfaced + retried", srv_rej_shutdown,
-               total.rejected_shutdown + rt_shutdown);
+    r.equal("fleet submitted vs client + retries", srv_submitted,
+            client_total + rt_full + rt_shutdown);
+    r.equal("router forwards vs fleet submitted", *forwards, srv_submitted);
+    r.equal("rejected_full vs surfaced + retried", srv_rej_full,
+            total.rejected_full + rt_full);
+    r.equal("rejected_shutdown vs surfaced + retried", srv_rej_shutdown,
+            total.rejected_shutdown + rt_shutdown);
   }
-  must_equal("completed", srv_completed, total.ok);
-  must_equal("expired", srv_expired, total.expired);
+  r.equal("completed", srv_completed, total.ok);
+  r.equal("expired", srv_expired, total.expired);
   // Server-internal conservation: everything submitted terminated.
-  must_equal("submitted vs terminal states", srv_submitted,
-             srv_completed + srv_expired + srv_rej_full + srv_rej_shutdown);
+  r.equal("submitted vs terminal states", srv_submitted,
+          srv_completed + srv_expired + srv_rej_full + srv_rej_shutdown);
   // Backend conservation: every completed request was served by exactly
   // one engine — and when the client pinned one, by THAT engine.
-  must_equal("backend pram+native vs completed",
-             srv_bk_pram + srv_bk_native, srv_completed);
+  r.equal("backend pram+native vs completed", srv_bk_pram + srv_bk_native,
+          srv_completed);
   if (want == iph::exec::BackendKind::kPram) {
-    must_equal("backend=pram requests", srv_bk_pram, total.ok);
+    r.equal("backend=pram requests", srv_bk_pram, total.ok);
   } else if (want == iph::exec::BackendKind::kNative) {
-    must_equal("backend=native requests", srv_bk_native, total.ok);
+    r.equal("backend=native requests", srv_bk_native, total.ok);
   }
   // Batch conservation: both lanes record each executed batch's size
   // once (a large-lane run is a batch of one), so the sizes sum to the
   // completed count — per server, and so on a merged fleet snapshot.
   const iph::stats::HistogramSnapshot* batch_size = d.histogram(sn::kBatchSize);
-  must_equal("batch_size sum vs completed",
-             batch_size != nullptr
-                 ? static_cast<std::uint64_t>(batch_size->sum)
-                 : 0,
-             srv_completed);
+  r.equal("batch_size sum vs completed",
+          batch_size != nullptr ? static_cast<std::uint64_t>(batch_size->sum)
+                                : 0,
+          srv_completed);
   // Tracing conservation: with a flight recorder armed, every completed
   // request published exactly one kind=request trace of exactly
   // kSpansPerRequest spans (publish counts at attempt time, so ring
-  // drops do not leak traces out of this identity). Keyed off counter
-  // PRESENCE: an --obs-capacity 0 server never mints these counters and
-  // skips the check.
-  namespace on = iph::obs::statnames;
-  if (const std::uint64_t* pub = d.counter(iph::stats::labeled(
-          on::kTracesPublishedBase, "kind", "request"))) {
-    must_equal("obs traces published{kind=request}", *pub, srv_completed);
-  }
-  if (const std::uint64_t* spans = d.counter(iph::stats::labeled(
-          on::kSpansRecordedBase, "kind", "request"))) {
-    must_equal("obs spans recorded{kind=request}", *spans,
-               srv_completed * iph::obs::kSpansPerRequest);
-  }
-
-  if (tol > 0 && total.ok > 0 && e2e != nullptr && e2e->count > 0) {
-    const double lo = std::max(std::min(server_p50, client_p50), 0.05);
-    const double ratio = std::max(server_p50, client_p50) / lo;
-    if (ratio > tol) {
-      std::fprintf(stderr,
-                   "hullload scrape: MEDIAN DIVERGENCE: server %.3f ms vs "
-                   "client %.3f ms (ratio %.2f > tol %.2f)\n",
-                   server_p50, client_p50, ratio, tol);
-      ok = false;
-    }
-  }
-  return ok;
+  // drops do not leak traces out of this identity).
+  r.obs(d, "request", srv_completed,
+        srv_completed * iph::obs::kSpansPerRequest);
+  return r.done(e2e, client_p50, tol);
 }
 
 /// --stream counterpart of check_scrape: reconcile the iph_session_*
 /// registry against this client's tally. The run must be the server's
-/// only session traffic; `after` supplies the post-run gauge LEVELS
+/// only session traffic; the diff's gauges are the post-run LEVELS
 /// (diffs keep gauges at their current value, so the levels double as
 /// the "everything closed, all cells released" check).
 bool check_scrape_stream(const iph::stats::RegistrySnapshot& d,
@@ -773,97 +644,48 @@ bool check_scrape_stream(const iph::stats::RegistrySnapshot& d,
                "%.3f ms (server p99 %.3f ms)\n",
                server_p50, client_p50, *server_p99);
 
-  bool ok = true;
-  auto must_equal = [&](const char* what, std::uint64_t server,
-                        std::uint64_t client) {
-    if (server != client) {
-      std::fprintf(stderr,
-                   "hullload scrape: RECONCILE FAIL: %s server %llu != "
-                   "client %llu\n",
-                   what, static_cast<unsigned long long>(server),
-                   static_cast<unsigned long long>(client));
-      ok = false;
-    }
-  };
-  if (total.errors != 0) {
-    std::fprintf(stderr,
-                 "hullload scrape: RECONCILE FAIL: %llu client-side "
-                 "errors\n",
-                 static_cast<unsigned long long>(total.errors));
-    ok = false;
-  }
+  Reconcile r(total);
   const auto clients = static_cast<std::uint64_t>(opt.clients);
-  must_equal("sessions opened", opened, clients);
-  must_equal("sessions closed", closed, clients);
-  must_equal("appends", appends, total.ok);
-  must_equal("append_points", append_points,
-             total.ok * static_cast<std::uint64_t>(opt.append_points));
-  must_equal("rebuilds", rebuilds, total.rebuilds);
-  must_equal("rebuild backends pram+native", rb_pram + rb_native, rebuilds);
-  must_equal("rebuild mismatches", mismatches, 0);
-  must_equal("session rejects", rejects, 0);
-  must_equal("append_ms count", append_ms != nullptr ? append_ms->count : 0,
-             appends);
-  must_equal("delta_ops count", delta_ops != nullptr ? delta_ops->count : 0,
-             appends);
-  must_equal("live_sessions gauge",
-             live != nullptr ? static_cast<std::uint64_t>(*live) : 1, 0);
-  must_equal("aux_cells gauge",
-             aux != nullptr ? static_cast<std::uint64_t>(*aux) : 1, 0);
+  r.equal("sessions opened", opened, clients);
+  r.equal("sessions closed", closed, clients);
+  r.equal("appends", appends, total.ok);
+  r.equal("append_points", append_points,
+          total.ok * static_cast<std::uint64_t>(opt.append_points));
+  r.equal("rebuilds", rebuilds, total.rebuilds);
+  r.equal("rebuild backends pram+native", rb_pram + rb_native, rebuilds);
+  r.equal("rebuild mismatches", mismatches, 0);
+  r.equal("session rejects", rejects, 0);
+  r.equal("append_ms count", append_ms != nullptr ? append_ms->count : 0,
+          appends);
+  r.equal("delta_ops count", delta_ops != nullptr ? delta_ops->count : 0,
+          appends);
+  r.equal("live_sessions gauge",
+          live != nullptr ? static_cast<std::uint64_t>(*live) : 1, 0);
+  r.equal("aux_cells gauge",
+          aux != nullptr ? static_cast<std::uint64_t>(*aux) : 1, 0);
   // Behind a router (gauge presence-keyed like the obs checks): its
   // sid map must agree that every session this run opened is closed.
   namespace rn = iph::cluster::statnames;
   if (const std::int64_t* rso = d.gauge(rn::kSessionsOpen)) {
-    must_equal("router sessions_open gauge",
-               static_cast<std::uint64_t>(*rso), 0);
+    r.equal("router sessions_open gauge", static_cast<std::uint64_t>(*rso),
+            0);
   }
   // Tracing conservation (manager.h contract): one kind=session trace
   // per append, with a rebuild child span iff that append rebuilt.
-  // Presence-gated like the batch-mode obs checks.
-  namespace on = iph::obs::statnames;
-  if (const std::uint64_t* pub = d.counter(iph::stats::labeled(
-          on::kTracesPublishedBase, "kind", "session"))) {
-    must_equal("obs traces published{kind=session}", *pub, appends);
-  }
-  if (const std::uint64_t* spans = d.counter(iph::stats::labeled(
-          on::kSpansRecordedBase, "kind", "session"))) {
-    must_equal("obs spans recorded{kind=session}", *spans,
-               appends + rebuilds);
-  }
-
-  if (opt.scrape_tol > 0 && total.ok > 0 && append_ms != nullptr &&
-      append_ms->count > 0) {
-    const double lo = std::max(std::min(server_p50, client_p50), 0.05);
-    const double ratio = std::max(server_p50, client_p50) / lo;
-    if (ratio > opt.scrape_tol) {
-      std::fprintf(stderr,
-                   "hullload scrape: MEDIAN DIVERGENCE: server %.3f ms vs "
-                   "client %.3f ms (ratio %.2f > tol %.2f)\n",
-                   server_p50, client_p50, ratio, opt.scrape_tol);
-      ok = false;
-    }
-  }
-  return ok;
+  r.obs(d, "session", appends, appends + rebuilds);
+  return r.done(append_ms, client_p50, opt.scrape_tol);
 }
 
-/// One tracez round trip on a fresh connection; leaves the inner
-/// tracez document (retained/published/exemplars/traces) in `out`.
-bool tracez_fetch_tcp(const std::string& hostport, int limit, Json* out,
-                      std::string* err) {
-  const int fd = connect_to(hostport);
-  if (fd < 0) {
-    *err = "connect failed";
-    return false;
-  }
-  LineChannel chan(fd, fd);
+/// The tracez document (retained/published/exemplars/traces) of the
+/// `limit` slowest traces `ep` retains, from one round trip.
+bool fetch_tracez(const Endpoint& ep, int limit, Json* out,
+                  std::string* err) {
   Json cmd = Json::object();
   cmd["cmd"] = Json("tracez");
   cmd["limit"] = Json(limit);
   cmd["order"] = Json("slowest");
   std::string line;
-  const bool io_ok = chan.write_line(cmd.dump()) && chan.read_line(&line);
-  ::close(fd);
-  if (!io_ok) {
+  if (!iph::cluster::round_trip(ep, cmd.dump(), &line)) {
     *err = "tracez round trip failed";
     return false;
   }
@@ -942,14 +764,6 @@ void print_trace_trees(const Json& doc) {
   }
 }
 
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(content.data(), 1, content.size(), f) ==
-                  content.size();
-  return std::fclose(f) == 0 && ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -977,28 +791,11 @@ int main(int argc, char** argv) {
     } else if (a == "--connect" && (v = next())) {
       opt.connect = v;
     } else if (a == "--endpoints" && (v = next())) {
-      opt.endpoints.clear();
-      std::string item;
-      for (const char* p = v;; ++p) {
-        if (*p == ',' || *p == '\0') {
-          if (item.empty()) return usage(argv[0]);
-          opt.endpoints.push_back(item);
-          item.clear();
-          if (*p == '\0') break;
-        } else {
-          item.push_back(*p);
-        }
+      if (!iph::cluster::parse_endpoint_list(v, &opt.endpoints)) {
+        return usage(argv[0]);
       }
     } else if (a == "--backend" && (v = next())) {
       if (!iph::exec::parse_backend(v, &opt.backend)) return usage(argv[0]);
-    } else if (a == "--shards" && (v = next())) {
-      opt.cfg.shards = static_cast<std::size_t>(std::atoll(v));
-    } else if (a == "--threads" && (v = next())) {
-      opt.cfg.threads_per_shard = static_cast<unsigned>(std::atoi(v));
-    } else if (a == "--capacity" && (v = next())) {
-      opt.cfg.queue_capacity = static_cast<std::size_t>(std::atoll(v));
-    } else if (a == "--window-us" && (v = next())) {
-      opt.cfg.batch.window = std::chrono::microseconds(std::atoll(v));
     } else if (a == "--stream") {
       opt.stream = true;
     } else if (a == "--append-points" && (v = next())) {
@@ -1022,7 +819,8 @@ int main(int argc, char** argv) {
     }
   }
   if (opt.clients < 1 || opt.requests < 1 || opt.n == 0 ||
-      (opt.stream && opt.append_points == 0)) {
+      (opt.stream && opt.append_points == 0) ||
+      (opt.endpoints.empty() && opt.connect.empty())) {
     return usage(argv[0]);
   }
   {
@@ -1035,52 +833,34 @@ int main(int argc, char** argv) {
   }
 
   // Load targets, round-robined across clients; --connect is the
-  // one-target case, and no target at all means in-process.
-  std::vector<std::string> targets = opt.endpoints;
-  if (targets.empty() && !opt.connect.empty()) {
-    targets.push_back(opt.connect);
+  // one-target case. A --connect that does not parse is a connection
+  // that fails.
+  std::vector<Endpoint> targets = opt.endpoints;
+  if (targets.empty()) {
+    Endpoint ep;
+    if (!iph::cluster::parse_endpoint(opt.connect, &ep)) {
+      std::fprintf(stderr, "hullload: connection to %s failed\n",
+                   opt.connect.c_str());
+      return 3;
+    }
+    targets.push_back(ep);
   }
-  const bool inproc = targets.empty();
-  std::string target_desc = inproc ? "in-process" : targets[0];
+  std::string target_desc = targets[0].str();
   for (std::size_t i = 1; i < targets.size(); ++i) {
-    target_desc += "+" + targets[i];
-  }
-  std::unique_ptr<HullService> svc;
-  std::unique_ptr<iph::stats::Registry> stream_registry;
-  std::unique_ptr<iph::obs::FlightRecorder> stream_flight;
-  std::unique_ptr<iph::session::SessionManager> mgr;
-  if (inproc && opt.stream) {
-    iph::session::ManagerConfig mc;
-    mc.max_sessions = std::max<std::size_t>(
-        mc.max_sessions, static_cast<std::size_t>(opt.clients));
-    mc.default_backend = opt.backend;
-    mc.master_seed = opt.seed;
-    stream_registry = std::make_unique<iph::stats::Registry>();
-    // Arm a flight recorder so in-process stream runs exercise the
-    // session-trace path and the obs reconciliation identities too.
-    stream_flight = std::make_unique<iph::obs::FlightRecorder>(
-        iph::obs::ObsConfig{}, *stream_registry);
-    mgr = std::make_unique<iph::session::SessionManager>(
-        mc, *stream_registry, stream_flight.get());
-  } else if (inproc) {
-    svc = std::make_unique<HullService>(opt.cfg);
+    target_desc += "+" + targets[i].str();
   }
 
   // --scrape brackets the run with registry snapshots; the diff makes
   // the cross-check robust to traffic the server saw before us (but the
   // run itself must be the server's only traffic).
-  iph::stats::RegistrySnapshot scrape_before;
-  std::vector<iph::stats::RegistrySnapshot> scrape_before_tcp;
-  if (opt.scrape && !inproc) {
+  std::vector<iph::stats::RegistrySnapshot> scrape_before;
+  if (opt.scrape) {
     std::string err;
-    if (!scrape_targets(targets, &scrape_before_tcp, &err)) {
+    if (!scrape_targets(targets, &scrape_before, &err)) {
       std::fprintf(stderr, "hullload: statz scrape failed: %s\n",
                    err.c_str());
       return 3;
     }
-  } else if (opt.scrape) {
-    scrape_before = opt.stream ? stream_registry->snapshot()
-                               : svc->stats_registry().snapshot();
   }
 
   std::atomic<bool> conn_failed{false};
@@ -1089,20 +869,20 @@ int main(int argc, char** argv) {
   const auto start = Clock::now() + std::chrono::milliseconds(5);
   for (int c = 0; c < opt.clients; ++c) {
     threads.emplace_back([&, c] {
-      const std::string target =
-          inproc ? std::string()
-                 : targets[static_cast<std::size_t>(c) % targets.size()];
-      if (opt.stream) {
-        tallies[c] = inproc
-                         ? run_stream_inproc(*mgr, opt, c, start)
-                         : run_stream_tcp(opt, target, c, start,
-                                          &conn_failed);
-      } else {
-        tallies[c] = inproc
-                         ? run_client_inproc(*svc, opt, c, start)
-                         : run_client_tcp(opt, target, c, start,
-                                          &conn_failed);
+      const int fd = iph::cluster::dial(
+          targets[static_cast<std::size_t>(c) % targets.size()]);
+      if (fd < 0) {
+        conn_failed.store(true);
+        return;
       }
+      // Every client starts at `start`, so wall_s spans the whole run.
+      std::this_thread::sleep_until(start);
+      LineChannel chan(fd, fd);
+      const bool ok = opt.stream
+                          ? run_session(chan, opt, c, start, &tallies[c])
+                          : run_batch(chan, opt, c, start, &tallies[c]);
+      if (!ok) conn_failed.store(true);
+      ::close(fd);
     });
   }
   for (auto& t : threads) t.join();
@@ -1162,47 +942,30 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "  e2e ms (ok): p50 %.2f  p95 %.2f  p99 %.2f\n",
                  p50, p95, p99);
   }
-  double mean_batch = 0;
-  std::uint64_t large = 0;
-  if (inproc && !opt.stream) {
-    svc->shutdown(/*drain=*/true);
-    const iph::stats::RegistrySnapshot s = svc->stats_registry().snapshot();
-    mean_batch = iph::serve::mean_batch(s);
-    large = s.counter_or0(iph::serve::statnames::kLargeRequests);
-    std::fprintf(stderr, "  service: mean batch %.2f  large %llu\n",
-                 mean_batch, static_cast<unsigned long long>(large));
-  }
 
   bool scrape_failed = false;
   double server_p99 = 0;
   std::string served_backend;
   if (opt.scrape) {
+    std::vector<iph::stats::RegistrySnapshot> after;
+    std::string err;
+    if (!scrape_targets(targets, &after, &err)) {
+      std::fprintf(stderr, "hullload: statz scrape failed: %s\n",
+                   err.c_str());
+      return 3;
+    }
+    // Per-target diffs first (each target's counters are its own
+    // monotone series), then one fleet sum over the diffs.
+    std::vector<iph::stats::RegistrySnapshot> diffs;
+    diffs.reserve(targets.size());
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      diffs.push_back(after[i].diff(scrape_before[i]));
+    }
     iph::stats::RegistrySnapshot d;
-    if (!inproc) {
-      std::vector<iph::stats::RegistrySnapshot> after;
-      std::string err;
-      if (!scrape_targets(targets, &after, &err)) {
-        std::fprintf(stderr, "hullload: statz scrape failed: %s\n",
-                     err.c_str());
-        return 3;
-      }
-      // Per-target diffs first (each target's counters are its own
-      // monotone series), then one fleet sum over the diffs.
-      std::vector<iph::stats::RegistrySnapshot> diffs;
-      diffs.reserve(targets.size());
-      for (std::size_t i = 0; i < targets.size(); ++i) {
-        diffs.push_back(after[i].diff(scrape_before_tcp[i]));
-      }
-      if (!iph::cluster::merge_snapshots(diffs, &d, &err)) {
-        std::fprintf(stderr, "hullload: scrape merge failed: %s\n",
-                     err.c_str());
-        return 1;
-      }
-    } else {
-      const iph::stats::RegistrySnapshot after =
-          opt.stream ? stream_registry->snapshot()
-                     : svc->stats_registry().snapshot();
-      d = after.diff(scrape_before);
+    if (!iph::cluster::merge_snapshots(diffs, &d, &err)) {
+      std::fprintf(stderr, "hullload: scrape merge failed: %s\n",
+                   err.c_str());
+      return 1;
     }
     if (opt.stream) {
       scrape_failed = !check_scrape_stream(d, total, opt, p50, &server_p99);
@@ -1217,41 +980,23 @@ int main(int argc, char** argv) {
       // parses as iph-stats-v1.
       Json scrape_json = iph::stats::to_json(d);
       if (!opt.stream) scrape_json["served_backend"] = Json(served_backend);
-      if (!write_file(opt.scrape_out, scrape_json.dump(2) + "\n")) {
-        std::fprintf(stderr, "hullload: cannot write %s\n",
-                     opt.scrape_out.c_str());
+      if (!iph::cluster::write_doc(opt.scrape_out, scrape_json, "hullload")) {
         scrape_failed = true;
       }
     }
   }
 
   if (opt.trace_slowest > 0) {
+    // First target only — against a router that IS the whole fleet
+    // (fleet_tracez), against plain backends it is a sample.
     Json doc;
-    bool have = false;
-    if (!inproc) {
-      // First target only — against a router that IS the whole fleet
-      // (fleet_tracez), against plain backends it is a sample.
-      std::string err;
-      if (!tracez_fetch_tcp(targets[0], opt.trace_slowest, &doc, &err)) {
-        std::fprintf(stderr, "hullload: tracez fetch of %s failed: %s\n",
-                     targets[0].c_str(), err.c_str());
-      } else {
-        have = true;
-      }
+    std::string err;
+    if (fetch_tracez(targets[0], opt.trace_slowest, &doc, &err)) {
+      print_trace_trees(doc);
     } else {
-      const iph::obs::FlightRecorder* fr =
-          opt.stream ? stream_flight.get()
-                     : (svc != nullptr ? svc->flight_recorder() : nullptr);
-      if (fr == nullptr) {
-        std::fprintf(stderr, "hullload: tracing disabled in-process\n");
-      } else {
-        doc = iph::obs::tracez_json(
-            *fr, static_cast<std::size_t>(opt.trace_slowest),
-            /*slowest=*/true);
-        have = true;
-      }
+      std::fprintf(stderr, "hullload: tracez fetch of %s failed: %s\n",
+                   targets[0].str().c_str(), err.c_str());
     }
-    if (have) print_trace_trees(doc);
   }
 
   if (opt.json) {
@@ -1283,7 +1028,6 @@ int main(int argc, char** argv) {
       j["points"] = Json(total.points);
       j["peak_aux_cells_max"] = Json(total.peak_aux_max);
     }
-    if (inproc && !opt.stream) j["mean_batch"] = Json(mean_batch);
     if (opt.scrape) {
       j["server_p99_ms"] = Json(server_p99);
       j["scrape_ok"] = Json(!scrape_failed);

@@ -388,6 +388,10 @@ int main(int argc, char** argv) {
   // the same engine batch requests default to (--backend).
   mgr_cfg.default_backend = cfg.backend;
   mgr_cfg.master_seed = cfg.master_seed;
+  // Session rebuilds run as wide as a shard: --threads bounds every
+  // engine the server owns.
+  mgr_cfg.native_threads = cfg.threads_per_shard;
+  mgr_cfg.pram_threads = cfg.threads_per_shard;
   // Session traces share the service's flight recorder, so one tracez
   // ring covers batch and streaming traffic alike.
   SessionManager mgr(mgr_cfg, svc.stats_registry(), svc.flight_recorder());

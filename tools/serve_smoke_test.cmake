@@ -7,12 +7,15 @@
 #      session: 3 valid submissions out of 5 lines. Four lines with
 #      out-of-range numbers or an infinite coordinate each get a
 #      bad_request reject, and the line after them is still answered.
-#   2. hullload driving an in-process service must complete a small
-#      closed-loop burst with every request ok (exit 0 under
-#      --expect-all-ok) and emit a parseable --json summary; with
-#      --scrape it must reconcile the server registry against its own
-#      tally and write the diffed snapshot to --scrape-out.
-#   3-4. The streaming-session protocol, stdin and in-process.
+#   2. hullload over TCP against one shared hullserved (--port 0, its
+#      port read from the "listening <port>" stdout line; cases 4 and 7
+#      use it too) must complete a small closed-loop burst with every
+#      request ok (exit 0 under --expect-all-ok) and emit a parseable
+#      --json summary; with --scrape it must reconcile the server
+#      registry against its own tally and write the diffed snapshot to
+#      --scrape-out. hullload without a target, or given a flag it no
+#      longer has, is a usage error (exit 2).
+#   3-4. The streaming-session protocol, stdin and over TCP.
 #   5-7. Request tracing: wire trace contexts round-trip (server ids
 #      deterministic and monotonic per connection, client ids adopted
 #      verbatim, malformed contexts answered per-message without
@@ -123,10 +126,58 @@ if(NOT out MATCHES "\"id\":9,\"status\":\"ok\"")
           "hullserved: the valid line after the crash lines was not ok:\n${out}")
 endif()
 
-# --- Case 2: hullload closed-loop burst, in-process -------------------
+# Waits for a backgrounded tool's "listening <port>" stdout line in
+# `outfile` and sets `resultvar` to the port.
+function(iph_wait_listening outfile what resultvar)
+  set(port "")
+  foreach(try RANGE 0 100)
+    if(EXISTS "${outfile}")
+      file(READ "${outfile}" _out)
+      if(_out MATCHES "listening ([0-9]+)")
+        set(port "${CMAKE_MATCH_1}")
+        break()
+      endif()
+    endif()
+    execute_process(COMMAND sh -c "sleep 0.1")
+  endforeach()
+  if(port STREQUAL "")
+    message(FATAL_ERROR "serve smoke: ${what} never printed its port")
+  endif()
+  set(${resultvar} "${port}" PARENT_SCOPE)
+endfunction()
+
+# --- Case 2: hullload closed-loop burst over TCP ----------------------
+# The server cases 2, 4 and 7 share. A watchdog stops it if this script
+# dies before case 7 does.
+execute_process(
+  COMMAND sh -c "'${HULLSERVED}' --quiet --port 0 --shards 1 --threads 2 \
+                 </dev/null >'${WORK_DIR}/srv.out' 2>/dev/null & srv=$!; \
+                 echo $srv > '${WORK_DIR}/srv.pid'; \
+                 (while kill -0 $PPID && kill -0 $srv; do sleep 1; done; \
+                  kill -INT $srv) </dev/null >/dev/null 2>&1 &"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "serve smoke: failed to launch the shared server")
+endif()
+iph_wait_listening("${WORK_DIR}/srv.out" "the shared server" SRV_PORT)
+
+# No target, or a flag hullload no longer has: usage errors.
 execute_process(
   COMMAND "${HULLLOAD}" --clients 2 --requests 8 --n 64
-          --shards 1 --threads 2
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "hullload without a target: expected exit 2, got ${rc}")
+endif()
+execute_process(
+  COMMAND "${HULLLOAD}" --connect "127.0.0.1:${SRV_PORT}" --shards 1
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "hullload --shards: expected exit 2, got ${rc}")
+endif()
+
+execute_process(
+  COMMAND "${HULLLOAD}" --connect "127.0.0.1:${SRV_PORT}"
+          --clients 2 --requests 8 --n 64
           --expect-all-ok --json
           --scrape --scrape-out "${WORK_DIR}/statz.json"
   RESULT_VARIABLE rc
@@ -221,11 +272,16 @@ if(NOT out MATCHES "\"iph_session_aux_cells\":0")
   message(FATAL_ERROR "session smoke: aux-cells gauge not 0:\n${out}")
 endif()
 
-# --- Case 4: hullload --stream in-process with scrape reconciliation --
+# --- Case 4: hullload --stream over TCP with scrape reconciliation ----
+# Every session identity is exact. The client's append latency is the
+# socket round trip, which a sub-0.1 ms server-side append cannot match
+# (28-96x under ASan), so the median ratio is off, as in case 8's
+# streaming burst.
 execute_process(
-  COMMAND "${HULLLOAD}" --stream --clients 2 --requests 6
+  COMMAND "${HULLLOAD}" --stream --connect "127.0.0.1:${SRV_PORT}"
+          --clients 2 --requests 6
           --append-points 8 --n 64
-          --expect-all-ok --json
+          --expect-all-ok --json --scrape-tol 0
           --scrape --scrape-out "${WORK_DIR}/stream_statz.json"
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
@@ -366,22 +422,11 @@ if(NOT out MATCHES "tracing disabled")
 endif()
 
 # --- Case 7: TCP round trip: hullload --scrape --trace-slowest --------
-# A backgrounded server takes a small burst over TCP; hullload then
+# The shared server takes a small burst over TCP; hullload then
 # scrapes (reconciling the obs span identities along the serve
 # counters) and fetches the slowest span trees over the wire.
-set(SMOKE_PORT 19917)
 execute_process(
-  COMMAND sh -c "'${HULLSERVED}' --quiet --port ${SMOKE_PORT} \
-                 --shards 1 --threads 2 \
-                 </dev/null >/dev/null 2>&1 \
-                 & echo $! > '${WORK_DIR}/srv.pid'"
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "tcp trace smoke: failed to launch server")
-endif()
-execute_process(COMMAND sh -c "sleep 1")
-execute_process(
-  COMMAND "${HULLLOAD}" --connect "127.0.0.1:${SMOKE_PORT}"
+  COMMAND "${HULLLOAD}" --connect "127.0.0.1:${SRV_PORT}"
           --clients 2 --requests 10 --n 64
           --expect-all-ok --scrape --trace-slowest 3
   RESULT_VARIABLE rc
@@ -408,24 +453,6 @@ endif()
 # --- Case 8: cluster — hullrouter fronting three hullserved backends --
 # Three real backends on ephemeral ports, exercising the "listening
 # <port>" stdout contract end to end, then the router in both modes.
-function(iph_wait_listening outfile what resultvar)
-  set(port "")
-  foreach(try RANGE 0 100)
-    if(EXISTS "${outfile}")
-      file(READ "${outfile}" _out)
-      if(_out MATCHES "listening ([0-9]+)")
-        set(port "${CMAKE_MATCH_1}")
-        break()
-      endif()
-    endif()
-    execute_process(COMMAND sh -c "sleep 0.1")
-  endforeach()
-  if(port STREQUAL "")
-    message(FATAL_ERROR "cluster smoke: ${what} never printed its port")
-  endif()
-  set(${resultvar} "${port}" PARENT_SCOPE)
-endfunction()
-
 foreach(i RANGE 0 2)
   execute_process(
     COMMAND sh -c "'${HULLSERVED}' --quiet --port 0 \
