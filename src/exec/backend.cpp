@@ -12,6 +12,12 @@ HullRun Backend::upper_hull_presorted(std::span<const geom::Point2> pts,
   return upper_hull(pts, seed, alpha, edge_above);
 }
 
+HullRun Backend::upper_hull_in_place(std::span<geom::Point2> pts,
+                                     std::uint64_t seed, int alpha,
+                                     bool edge_above) {
+  return upper_hull(pts, seed, alpha, edge_above);
+}
+
 bool parse_backend(std::string_view name, BackendKind* out) noexcept {
   if (name == "pram") {
     *out = BackendKind::kPram;

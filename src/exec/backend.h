@@ -23,6 +23,11 @@
 // backends' choices differ there). Each backend is individually
 // deterministic: same points + seed -> same result.
 //
+// In-place contract: upper_hull_in_place may permute the caller's buffer
+// and leaves its contents unspecified; it returns upper_hull's answer.
+// The serving batcher runs every request through it, on the request's
+// own points.
+//
 // Cost-metric contract: HullRun carries pram::Metrics. The PRAM backend
 // fills it with the simulator's real step/work/processor accounting;
 // the native engine reports zeros — PRAM counters are properties of the
@@ -93,6 +98,18 @@ class Backend {
                      int alpha) {
     return upper_hull(pts, seed, alpha, /*edge_above=*/true);
   }
+
+  /// upper_hull over a buffer the caller gives up: the engine may sort
+  /// `pts` where it lies, so after the call the buffer's contents are
+  /// unspecified (not even the same points need remain). The answer is
+  /// upper_hull's, bit for bit: indices refer to the input order as it
+  /// was at the call. A caller that reads its points afterwards must
+  /// read them first, or call upper_hull. The native engine sorts here
+  /// (native_backend.h); the default forwards to upper_hull, so other
+  /// engines leave the buffer as it was.
+  virtual HullRun upper_hull_in_place(std::span<geom::Point2> pts,
+                                      std::uint64_t seed, int alpha,
+                                      bool edge_above);
 
   /// Compute the upper hull of LEXICOGRAPHICALLY SORTED `pts`
   /// (duplicates allowed; geom::lex_less non-decreasing). Engines skip

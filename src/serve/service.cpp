@@ -172,6 +172,8 @@ void HullService::worker(std::size_t shard) {
   backends.native = &native_;
   backends.service_default = cfg_.backend;
   backends.recorder = cfg_.trace ? recorders_[shard].get() : nullptr;
+  // The exemplar repro writer reads a request's points after its run.
+  backends.keep_points = flight_ != nullptr && !cfg_.obs.repro_dir.empty();
 
   for (;;) {
     BatchClose close = BatchClose::kWindow;

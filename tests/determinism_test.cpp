@@ -123,9 +123,10 @@ INSTANTIATE_TEST_SUITE_P(AllAlgos, ThreadDeterminism,
 // the shard's thread count. Batched runs must be bit-identical to solo
 // runs of each request.
 
-/// One batch on a PRAM engine over `m` alone.
+/// One batch on a PRAM engine over `m` alone, of copies of `reqs` (a
+/// batch consumes its requests; the callers reuse theirs).
 std::vector<serve::Response> pram_batch(pram::Machine& m,
-                                        std::span<const serve::Request> reqs,
+                                        std::vector<serve::Request> reqs,
                                         std::uint64_t master_seed) {
   exec::PramBackend pram(m);
   serve::BackendSet backends;

@@ -4,9 +4,15 @@
 // — they hammer submit/shutdown races on purpose.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -830,7 +836,9 @@ TEST(ExecuteBatch, BackendSetDispatchesAndFallsBack) {
   both.pram = &pram_backend;
   both.native = &native_backend;
   BatchExecInfo info;
-  std::vector<Response> rs = execute_batch(both, reqs, 7, &info);
+  // A batch consumes its requests' points; each run gets its own copies.
+  std::vector<Request> batch = reqs;
+  std::vector<Response> rs = execute_batch(both, batch, 7, &info);
   ASSERT_EQ(rs.size(), 3u);
   EXPECT_EQ(rs[0].metrics.backend, exec::BackendKind::kNative);
   EXPECT_EQ(rs[1].metrics.backend, exec::BackendKind::kPram);
@@ -842,7 +850,8 @@ TEST(ExecuteBatch, BackendSetDispatchesAndFallsBack) {
   // rather than failing — the resolved kind records what actually ran.
   BackendSet pram_only;
   pram_only.pram = &pram_backend;
-  rs = execute_batch(pram_only, reqs, 7, &info);
+  batch = reqs;
+  rs = execute_batch(pram_only, batch, 7, &info);
   EXPECT_EQ(rs[0].metrics.backend, exec::BackendKind::kPram);
   EXPECT_EQ(info.native_requests, 0u);
   EXPECT_EQ(info.pram_requests, 3u);
@@ -1102,6 +1111,51 @@ TEST(HullService, ObsDisabledServesWithoutRecorderOrCounters) {
   EXPECT_EQ(s.counter(stats::labeled(obs::statnames::kTracesPublishedBase,
                                      "kind", "request")),
             nullptr);
+}
+
+// A native run sorts the request's own points where they lie
+// (exec/backend.h, upper_hull_in_place). The tail-exemplar repro writer
+// reads those points after the run, so with obs.repro_dir set the
+// service runs the copying entry: the pinned exemplar's repro file holds
+// the request's input, bit for bit and in input order, not the sorted
+// survivors.
+TEST(HullService, ExemplarReproHoldsTheRequestsInput) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("iph_repro_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  ServiceConfig cfg;
+  cfg.backend = exec::BackendKind::kNative;
+  cfg.threads_per_shard = 2;
+  cfg.obs.repro_dir = dir.string();
+  HullService svc(cfg);
+  // Large enough for the engine's pool; a circle keeps half its points.
+  std::vector<geom::Point2> pts = geom::on_circle(40000, 12);
+  pts[7] = {-0.0, 0.5};
+  pts[8] = {0.25, 4.9406564584124654e-324};
+  Request req;
+  req.id = 1;
+  req.points = pts;
+  const Response resp = svc.submit(std::move(req)).get();
+  ASSERT_EQ(resp.status, Status::kOk);
+  const std::filesystem::path file =
+      dir / ("serve_exemplar_" + obs::to_hex(resp.trace.trace_id) + ".json");
+  std::ifstream in(file);
+  ASSERT_TRUE(in.good()) << "no repro file " << file;
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  trace::Json j;
+  std::string err;
+  ASSERT_TRUE(trace::Json::parse(text, &j, &err)) << err;
+  const trace::Json* got = j.find("points");
+  ASSERT_NE(got, nullptr);
+  ASSERT_EQ(got->size(), pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const trace::Json& q = got->at(i);
+    const geom::Point2 p{q.at(0).as_double(), q.at(1).as_double()};
+    ASSERT_EQ(std::memcmp(&p, &pts[i], sizeof p), 0) << "point " << i;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

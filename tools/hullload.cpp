@@ -14,7 +14,9 @@
 // answer before sending the next. --qps Q switches to open loop: clients
 // send at a combined target rate of Q regardless of completions, and a
 // per-client reader thread matches responses to send times in FIFO
-// order — hullserved answers each connection in submission order.
+// order — hullserved answers each connection in submission order. In
+// both loops a reply whose "id" is not its request's counts as a client
+// error, which fails --expect-all-ok and --scrape.
 //
 // Prints counts per terminal status, achieved qps, and p50/p95/p99
 // end-to-end latency over the ok responses; --json appends one
@@ -227,22 +229,23 @@ std::uint64_t line_number(const Options& opt, int client, int i) {
 }
 
 /// One connection's run of --requests lines: line(i) makes the i-th,
-/// answer(reply, ms) takes each reply with its latency. Closed loop by
-/// default: send, wait for the answer, repeat. With --qps the sends are
-/// paced while a reader thread pairs each reply with the oldest
-/// outstanding send time — positional FIFO matching, guaranteed by
-/// hullserved's in-order responder. False when the connection breaks,
-/// or when a reply arrives with no line outstanding to answer.
+/// answer(i, reply, ms) takes the reply paired with line i and its
+/// latency. Closed loop by default: send, wait for the answer, repeat.
+/// With --qps the sends are paced while a reader thread pairs each reply
+/// with the oldest outstanding send — positional FIFO matching, which
+/// hullserved's in-order responder guarantees and answer() checks where
+/// the reply names its line. False when the connection breaks, or when a
+/// reply arrives with no line outstanding to answer.
 bool drive(LineChannel& chan, const Options& opt, int client,
            Clock::time_point start,
            const std::function<std::string(int)>& line,
-           const std::function<void(const std::string&, double)>& answer) {
+           const std::function<void(int, const std::string&, double)>& answer) {
   std::string reply;
   if (opt.qps <= 0) {
     for (int i = 0; i < opt.requests; ++i) {
       const auto t0 = Clock::now();
       if (!chan.write_line(line(i)) || !chan.read_line(&reply)) return false;
-      answer(reply, iph::serve::ms_between(t0, Clock::now()));
+      answer(i, reply, iph::serve::ms_between(t0, Clock::now()));
     }
     return true;
   }
@@ -265,7 +268,7 @@ bool drive(LineChannel& chan, const Options& opt, int client,
         t0 = sent.front();
         sent.pop_front();
       }
-      answer(reply, iph::serve::ms_between(t0, Clock::now()));
+      answer(i, reply, iph::serve::ms_between(t0, Clock::now()));
     }
   });
   for (int i = 0; i < opt.requests && ok.load(); ++i) {
@@ -285,7 +288,9 @@ bool drive(LineChannel& chan, const Options& opt, int client,
 }
 
 /// One batch client: --requests generated queries through drive(),
-/// each answer tallied by its status.
+/// each answer tallied by its status. A reply whose "id" is not its
+/// line's is a client error: the stream is out of step, so its status
+/// and latency belong to some other line.
 bool run_batch(LineChannel& chan, const Options& opt, int client,
                Clock::time_point start, Tally* t) {
   auto request_line = [&](int i) {
@@ -301,10 +306,14 @@ bool run_batch(LineChannel& chan, const Options& opt, int client,
     if (opt.deadline_ms > 0) j["deadline_ms"] = Json(opt.deadline_ms);
     return j.dump();
   };
-  auto tally = [&](const std::string& reply, double ms) {
+  auto tally = [&](int i, const std::string& reply, double ms) {
     Json j;
     std::string err;
-    if (!Json::parse(reply, &j, &err) || j.find("error") != nullptr) {
+    const Json* id = nullptr;
+    if (!Json::parse(reply, &j, &err) || j.find("error") != nullptr ||
+        (id = j.find("id")) == nullptr || !id->is_number() ||
+        id->as_double() !=
+            static_cast<double>(line_number(opt, client, i))) {
       t->count("error", ms);
     } else {
       t->count(j.get_str("status", "error"), ms);
@@ -348,7 +357,7 @@ bool run_session(LineChannel& chan, const Options& opt, int client,
     j["seed"] = Json(opt.seed + line_number(opt, client, i));
     return j.dump();
   };
-  auto tally = [&](const std::string& line, double ms) {
+  auto tally = [&](int, const std::string& line, double ms) {
     Json j;
     std::string err;
     if (!Json::parse(line, &j, &err) || j.get_str("status") != "ok") {

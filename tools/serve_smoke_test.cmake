@@ -38,6 +38,10 @@
 #      mid-fleet with the next burst still all-ok (io retries +
 #      markdown visible in the router's shutdown statz dump), and a
 #      direct multi-target hullload --endpoints run.
+#   9. Clients that hang up: five connections each send 200 pipelined
+#      lines to a hullserved, then to a hullrouter in front of it, and
+#      close without reading. Each front end must live through its
+#      failed writes and answer a fresh connection.
 if(NOT HULLSERVED OR NOT HULLLOAD OR NOT HULLROUTER OR NOT WORK_DIR)
   message(FATAL_ERROR
           "need -DHULLSERVED=... -DHULLLOAD=... -DHULLROUTER=... "
@@ -749,6 +753,67 @@ endif()
 foreach(i RANGE 0 2)
   execute_process(
     COMMAND sh -c "kill -INT $(cat '${WORK_DIR}/be${i}.pid') 2>/dev/null; true")
+endforeach()
+
+# --- Case 9: clients that hang up ------------------------------------
+set(burst "")
+foreach(i RANGE 1 200)
+  string(APPEND burst "{\"id\":${i},\"n\":4096,\"seed\":${i}}\n")
+endforeach()
+file(WRITE "${WORK_DIR}/hangup.ndjson" "${burst}")
+execute_process(
+  COMMAND sh -c "'${HULLSERVED}' --quiet --port 0 --threads 1 \
+                 --backend native </dev/null >'${WORK_DIR}/hu_be.out' \
+                 2>/dev/null & echo $! > '${WORK_DIR}/hu_be.pid'"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "hang-up smoke: failed to launch hullserved")
+endif()
+iph_wait_listening("${WORK_DIR}/hu_be.out" "the hang-up backend" HU_BE_PORT)
+execute_process(
+  COMMAND sh -c "'${HULLROUTER}' --quiet --port 0 --probe-ms 0 \
+                 --endpoints 127.0.0.1:${HU_BE_PORT} </dev/null \
+                 >'${WORK_DIR}/hu_rt.out' 2>/dev/null \
+                 & echo $! > '${WORK_DIR}/hu_rt.pid'"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "hang-up smoke: failed to launch hullrouter")
+endif()
+iph_wait_listening("${WORK_DIR}/hu_rt.out" "the hang-up router" HU_RT_PORT)
+
+# Five connections write the burst and close unread; the front end then
+# answers into closed sockets. It must still be alive and answer a fresh
+# connection.
+function(iph_hang_up name port pidfile)
+  execute_process(
+    COMMAND bash -c "for c in 1 2 3 4 5; do \
+                       (exec 3<>/dev/tcp/127.0.0.1/${port} && \
+                        cat '${WORK_DIR}/hangup.ndjson' >&3) & \
+                     done; wait; sleep 1.5"
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "hang-up smoke: the burst to ${name} failed (${rc})")
+  endif()
+  execute_process(COMMAND sh -c "kill -0 $(cat '${pidfile}')"
+                  RESULT_VARIABLE alive OUTPUT_QUIET ERROR_QUIET)
+  if(NOT alive EQUAL 0)
+    message(FATAL_ERROR "hang-up smoke: ${name} died after its clients "
+                        "hung up")
+  endif()
+  execute_process(
+    COMMAND "${HULLLOAD}" --connect "127.0.0.1:${port}"
+            --clients 1 --requests 2 --n 64 --expect-all-ok
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "hang-up smoke: ${name} did not answer a fresh "
+                        "connection (exit ${rc})\n${err}")
+  endif()
+endfunction()
+iph_hang_up(hullserved "${HU_BE_PORT}" "${WORK_DIR}/hu_be.pid")
+iph_hang_up(hullrouter "${HU_RT_PORT}" "${WORK_DIR}/hu_rt.pid")
+foreach(tool hu_rt hu_be)
+  execute_process(
+    COMMAND sh -c "kill -INT $(cat '${WORK_DIR}/${tool}.pid') 2>/dev/null; true")
 endforeach()
 
 message(STATUS "serve tools smoke ok")
