@@ -1,23 +1,24 @@
-// E14 — serving: batched small-query throughput vs one-Machine-per-
+// E14 — serving: served small-query throughput vs one-Machine-per-
 // request, at the same thread count. A serving deployment provisions
 // its shards wide enough for the largest queries it accepts (here
 // 32 threads — the n >= 2048 rows genuinely fan out, grain 2048), so a
 // small query served naively pays the full threads-1 thread spawn +
 // join per request. That fixed cost dominates small hulls: measured on
 // the reference box, Machine(32) construction ~0.7 ms vs ~0.2 ms for
-// the n = 64 hull run itself. The service's pre-warmed worker shards +
-// adaptive batcher amortize exactly that away — the PRAM execution is
-// bit-identical by construction (checked every run below) — so for
-// "small"-labelled rows the served configuration must clear at least
-// 2x the solo throughput: inv_speedup = qps_solo / qps_served <= 0.5.
+// the n = 64 hull run itself. The service's pre-warmed worker shards,
+// each running one request at a time, amortize exactly that away — the
+// PRAM execution is bit-identical by construction (checked every run
+// below) — so for "small"-labelled rows the served configuration must
+// clear at least 2x the solo throughput: inv_speedup = qps_solo /
+// qps_served <= 0.5.
 // "medium" and "large" rows document the crossover where the hull run
 // itself takes over and the two configurations converge.
 //
 // Counters: the wall-clock serving axis (qps, qps_solo, inv_speedup,
-// p50/p95/p99 e2e latency, mean coalesced batch size) plus the
-// deterministic PRAM axis (steps/work summed over the request set,
-// which the committed baseline pins bit-exactly — per-request PRAM cost
-// is a pure function of (points, id, master seed), never of batching).
+// p50/p95/p99 e2e latency) plus the deterministic PRAM axis (steps/work
+// summed over the request set, which the committed baseline pins
+// bit-exactly — per-request PRAM cost is a pure function of (points,
+// id, master seed), never of which shard or machine ran it).
 //
 // A third column serves the same requests through the NATIVE execution
 // engine (iph::exec, ServiceConfig::backend = kNative): no PRAM
@@ -99,11 +100,10 @@ void e14(benchmark::State& state) {
   cfg.threads_per_shard = kThreads;
   cfg.queue_capacity = kRequests * 2;
   cfg.master_seed = kMasterSeed;
-  cfg.batch.window = std::chrono::microseconds(200);
 
   double qps = 0, qps_solo = 0, qps_native = 0;
   double qps_native_obs = 0, qps_native_noobs = 0;
-  double p50 = 0, p95 = 0, p99 = 0, mean_batch = 0;
+  double p50 = 0, p95 = 0, p99 = 0;
   double native_p99 = 0;
   double server_p99 = 0;
   std::uint64_t steps = 0, work = 0, large = 0;
@@ -127,7 +127,7 @@ void e14(benchmark::State& state) {
     qps_solo = kRequests / solo_s;
 
     // Served: same requests (same ids, so bit-identical PRAM runs)
-    // through the batching service.
+    // through the service.
     iph::serve::HullService svc(cfg);
     std::vector<std::future<iph::serve::Response>> futs;
     futs.reserve(kRequests);
@@ -151,7 +151,7 @@ void e14(benchmark::State& state) {
     const double served_s = std::chrono::duration<double>(t1 - t0).count();
     qps = kRequests / served_s;
     // The bit-identity acceptance check, enforced on every bench run:
-    // batched PRAM cost must equal the solo runs' exactly.
+    // served PRAM cost must equal the solo runs' exactly.
     if (served_steps != steps || served_work != work) {
       state.SkipWithError("served PRAM metrics diverge from solo runs");
       return;
@@ -162,7 +162,6 @@ void e14(benchmark::State& state) {
     p99 = percentile(e2e, 0.99);
     const iph::stats::RegistrySnapshot served =
         svc.stats_registry().snapshot();
-    mean_batch = iph::serve::mean_batch(served);
     large = served.counter_or0(iph::serve::statnames::kLargeRequests);
 
     // Native: same requests, same service shape, but every request
@@ -222,7 +221,7 @@ void e14(benchmark::State& state) {
     // recorder-armed (iph::obs, the default) vs recorder-off
     // (ServiceConfig::obs.enabled = false). The narrow shape is the
     // HARSHER configuration for this claim: no thread-spawn storm or
-    // batching slack for a per-request recorder cost to hide behind,
+    // second worker for a per-request recorder cost to hide behind,
     // and far less scheduler noise than the 32-wide serving shape.
     // Each rep times several passes over the request set so the
     // measured section is long enough to resolve a 5% bound; arms
@@ -339,7 +338,6 @@ void e14(benchmark::State& state) {
   state.counters["p95_ms"] = p95;
   state.counters["p99_ms"] = p99;
   state.counters["server_p99_ms"] = server_p99;
-  state.counters["mean_batch"] = mean_batch;
   state.counters["large_requests"] = static_cast<double>(large);
   state.counters["steps"] = static_cast<double>(steps);
   state.counters["work"] = static_cast<double>(work);
@@ -354,7 +352,7 @@ BENCHMARK(e14)
     ->Unit(benchmark::kMillisecond);
 
 // The serving claims, on small-query rows:
-//  * batch-speedup — batched throughput is at least 2x one-Machine-
+//  * batch-speedup — served throughput is at least 2x one-Machine-
 //    per-request at the same thread count (inv_speedup <= 0.5). Large
 //    rows are excluded — there the hull run itself dominates and the
 //    two configurations converge (EXPERIMENTS.md E14).

@@ -45,13 +45,12 @@ bool parse_endpoint(const std::string& s, Endpoint* out) {
   if (colon == std::string::npos || colon == 0 || colon + 1 == s.size()) {
     return false;
   }
-  char* end = nullptr;
-  const long port = std::strtol(s.c_str() + colon + 1, &end, 10);
-  if (end == nullptr || *end != '\0' || port < 1 || port > 65535) {
+  int port = 0;
+  if (!parse_number(std::string_view(s).substr(colon + 1), 1, 65535, &port)) {
     return false;
   }
   out->host = s.substr(0, colon);
-  out->port = static_cast<int>(port);
+  out->port = port;
   return true;
 }
 

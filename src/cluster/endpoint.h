@@ -1,12 +1,17 @@
 // The serving tools' TCP layer, with plain POSIX sockets (no
-// dependencies beyond libc): parse "host:port[,host:port...]" lists,
-// dial one endpoint, serve a loopback port one thread per connection
-// (hullserved, hullrouter), and write a JSON document to a file.
+// dependencies beyond libc): parse "host:port[,host:port...]" lists and
+// numeric flags, dial one endpoint, serve a loopback port one thread
+// per connection (hullserved, hullrouter), and write a JSON document to
+// a file.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "trace/json.h"
@@ -30,6 +35,26 @@ bool parse_endpoint(const std::string& s, Endpoint* out);
 
 /// Parse a comma-separated endpoint list; empty elements are an error.
 bool parse_endpoint_list(const std::string& csv, std::vector<Endpoint>* out);
+
+/// Parse a whole number in [lo, hi] into *out: decimal digits, with a
+/// leading '-' only for a signed T, or for a floating-point T what
+/// std::from_chars reads. False, leaving *out as it was, on an empty
+/// string, a sign an unsigned T cannot take, trailing characters
+/// ("2x"), a value T cannot hold, or one outside [lo, hi] (NaN
+/// included). The serving tools parse every numeric flag with it, so a
+/// bad value is a usage error, never a wrapped or partly read number.
+template <typename T>
+bool parse_number(std::string_view s, std::type_identity_t<T> lo,
+                  std::type_identity_t<T> hi, T* out) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [stop, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc() || stop != end || !(v >= lo && v <= hi)) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
 
 /// Blocking TCP connect. Returns the connected fd, or -1 on failure.
 int dial(const Endpoint& ep);

@@ -35,7 +35,7 @@ double ms_since(ClockT::time_point t0) {
 Router::Router(RouterConfig cfg)
     : cfg_(std::move(cfg)),
       stats_(registry_, cfg_.endpoints.size()),
-      ring_(cfg_.endpoints.size(), cfg_.vnodes, cfg_.seed),
+      ring_(cfg_.endpoints.size(), RouterConfig::kVnodes, cfg_.seed),
       shards_(cfg_.endpoints.size()) {
   stats_.backends_up.set(static_cast<std::int64_t>(shards_.size()));
   if (cfg_.probe_period_ms > 0) {

@@ -74,7 +74,7 @@ namespace iph::cluster {
 struct RouterConfig {
   std::vector<Endpoint> endpoints;
   /// Ring virtual nodes per shard (placement smoothness).
-  std::size_t vnodes = 64;
+  static constexpr std::size_t kVnodes = 64;
   /// Max sibling re-routes of one stateless request (0 = never retry).
   int retry_limit = 2;
   /// Health-prober period; 0 disables the prober thread entirely

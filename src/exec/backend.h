@@ -25,8 +25,8 @@
 //
 // In-place contract: upper_hull_in_place may permute the caller's buffer
 // and leaves its contents unspecified; it returns upper_hull's answer.
-// The serving batcher runs every request through it, on the request's
-// own points.
+// The service (serve::execute) runs every request through it, on the
+// request's own points.
 //
 // Cost-metric contract: HullRun carries pram::Metrics. The PRAM backend
 // fills it with the simulator's real step/work/processor accounting;

@@ -69,7 +69,7 @@
 // (geom::orient2d_certified_negative).
 //
 // Small inputs (below a cutoff) run fully inline on the calling thread:
-// the serving batcher's bread-and-butter queries never touch the pool.
+// the service's bread-and-butter small queries never touch the pool.
 // Every entry is safe to call concurrently from many threads (each call
 // owns its buffers; upper_hull_in_place's callers must not share one
 // buffer); results are deterministic and independent of thread count and

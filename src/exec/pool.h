@@ -9,7 +9,7 @@
 // queue, and a latch joins the fork.
 //
 // Concurrency contract: parallel_for may be called from MANY threads at
-// once (the serving layer shares one NativeBackend across all batch
+// once (the serving layer shares one NativeBackend across all its
 // workers). Concurrent forks interleave in the task queue; each fork
 // waits only on its own latch. Tasks never block on other tasks, so
 // interleaving cannot deadlock. Nested parallel_for from inside a task

@@ -4,9 +4,9 @@
 // derived seed, run core/api's upper_hull_2d on it (Theorem 5 /
 // Lemma 2.5 selection as usual), and hand back the hull plus the
 // simulator's REAL cost metrics. This is byte-for-byte the execution
-// path the serving batcher ran before the exec layer existed — the
+// path the service ran before the exec layer existed — the
 // "serve/request" trace phase included — so bit-identity guarantees
-// (batched == solo, determinism_test) carry over unchanged.
+// (served == solo, determinism_test) carry over unchanged.
 //
 // Exclusivity: the backend drives the machine (reset, steps, observer
 // callbacks), so the caller must hold exclusive access for the duration

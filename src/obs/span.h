@@ -3,7 +3,7 @@
 //
 // Spans are NOT opened/closed live on the hot path. The serving
 // pipeline already stamps every boundary it needs for latency
-// accounting (enqueue, batch pop, per-request exec start/end —
+// accounting (enqueue, pop, exec start/end —
 // serve/service.cpp; the lease span is zero-length at the pop, kept so
 // the tree's shape is unchanged); a trace is assembled from those
 // stamps once, at completion time, and handed to the FlightRecorder in
@@ -13,7 +13,7 @@
 //
 // Fixed span shape (the exact-reconciliation contract, extending the
 // PR 5 scrape discipline to causality data):
-//   * every completed ("ok") batch request publishes EXACTLY
+//   * every completed ("ok") request publishes EXACTLY
 //     kSpansPerRequest spans — request / queue_wait / lease / exec —
 //     so iph_obs_spans_recorded_total{kind=request} ==
 //     kSpansPerRequest x iph_serve_completed_total, checked by
@@ -81,8 +81,8 @@ struct CompletedTrace {
   const char* kind = "request";  ///< "request" | "session".
   const char* status = "ok";     ///< serve::status_name spelling.
   const char* backend = "";      ///< Engine that ran it ("" = n/a).
-  const char* tag = "";          ///< e.g. batch close reason.
-  std::uint64_t batch_size = 0;
+  const char* tag = "";          ///< A request's lane: small | large.
+  std::uint64_t batch_size = 0;  ///< A session append's points.
   double e2e_ms = 0;
   /// Exemplar repro reference (IPH_EXEC_REPRO_DIR-shaped JSON written
   /// by the service when this trace was pinned as a native-backend

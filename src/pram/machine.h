@@ -97,7 +97,7 @@ class Machine {
   /// the calling thread instead of being fanned out to the pool (the
   /// per-chunk dispatch cost dwarfs tiny bodies). Default 2048,
   /// overridable per-process with IPH_PRAM_GRAIN (support/env.h) and
-  /// per-machine here — the serving batcher tunes it per shard.
+  /// per-machine here.
   /// Scheduling only: results and PRAM metrics are grain-independent.
   std::uint64_t grain() const noexcept { return grain_; }
   void set_grain(std::uint64_t g) noexcept { grain_ = g < 1 ? 1 : g; }

@@ -107,9 +107,9 @@ struct Metrics {
 
   /// Accumulate another run's counters into this one: counters sum,
   /// peaks max, gauges are left alone (they describe *this* machine's
-  /// live state, not the other run's). The serving batcher uses this to
-  /// fold per-request runs (Machine::reset clears metrics per request)
-  /// into a batch total for the service-level stats registry.
+  /// live state, not the other run's). A session rebuild uses this to
+  /// fold its per-chain runs (Machine::reset clears metrics per run)
+  /// into one total.
   void add_counters(const Metrics& o) noexcept {
     steps += o.steps;
     work += o.work;

@@ -3,17 +3,17 @@
 // A Request is one 2-d upper-hull query: a point set, the paper's alpha
 // knob, and an optional deadline. The service answers with a Response
 // carrying the hull in the paper's output convention plus the
-// per-request serving metrics (queue wait, batch size, PRAM steps/work,
-// end-to-end latency) that feed the latency/throughput harness.
+// per-request serving metrics (queue wait, PRAM steps/work, end-to-end
+// latency) that feed the latency/throughput harness.
 //
 // Determinism contract: the randomized-CRCW seed a request executes
 // under is derive_request_seed(master, id) — a splitmix of the service's
 // master seed and the request id — so a request's result is a pure
 // function of (points, id, alpha, master seed). In particular it does
-// NOT depend on arrival order, on which shard ran it, or on which other
-// requests were coalesced into the same batch: a batched run is
-// bit-identical to a solo run of the same request (determinism_test
-// locks this in).
+// NOT depend on arrival order, on which shard ran it, or on which
+// requests ran before it on the shard's reused machine: a served run is
+// bit-identical to a solo run of the same request on a fresh machine
+// (determinism_test locks this in).
 #pragma once
 
 #include <chrono>
@@ -106,12 +106,13 @@ struct Request {
 struct RequestMetrics {
   double queue_wait_ms = 0;  ///< submit -> popped by a worker.
   double exec_ms = 0;        ///< PRAM run wall-clock.
-  /// submit -> THIS request's result computed. Per-request, not
-  /// batch-end: batch-mates that executed earlier in the batch report
-  /// smaller e2e, so (e2e - queue_wait) is this request's own service
-  /// time plus its wait for earlier batch-mates.
+  /// submit -> this request's result computed, so (e2e - queue_wait)
+  /// is its own service time.
   double e2e_ms = 0;
-  std::uint64_t batch_size = 0;  ///< Requests coalesced into the run.
+  /// 1 for every executed request (0 for a rejected or expired one): a
+  /// worker runs one request at a time. Kept, and on the wire as
+  /// "batch_size", because the benchmark package reads it.
+  std::uint64_t batch_size = 0;
   /// The worker shard that ran it (HullService::shard_count() is the
   /// large lane).
   std::uint64_t shard = 0;

@@ -16,10 +16,6 @@ namespace {
 ServiceConfig sanitize(ServiceConfig cfg) {
   cfg.queue_capacity = std::max<std::size_t>(cfg.queue_capacity, 1);
   cfg.shards = std::max<std::size_t>(cfg.shards, 1);
-  cfg.batch.max_batch_requests =
-      std::max<std::size_t>(cfg.batch.max_batch_requests, 1);
-  cfg.batch.max_batch_points =
-      std::max<std::size_t>(cfg.batch.max_batch_points, 1);
   if (cfg.backend == exec::BackendKind::kDefault) {
     cfg.backend = exec::BackendKind::kPram;
   }
@@ -159,12 +155,7 @@ void HullService::answer_rejection(Pending& p, Status status) {
 void HullService::worker(std::size_t shard) {
   const bool large = shard == cfg_.shards;
   BoundedQueue& queue = large ? large_queue_ : small_queue_;
-  // The large lane is a batch of one: a one-request budget and no
-  // straggler window.
-  const std::size_t max_requests =
-      large ? 1 : cfg_.batch.max_batch_requests;
-  const std::chrono::microseconds window =
-      large ? std::chrono::microseconds(0) : cfg_.batch.window;
+  const char* lane = large ? "large" : "small";
 
   exec::PramBackend pram_backend(*machines_[shard]);
   BackendSet backends;
@@ -175,139 +166,91 @@ void HullService::worker(std::size_t shard) {
   // The exemplar repro writer reads a request's points after its run.
   backends.keep_points = flight_ != nullptr && !cfg_.obs.repro_dir.empty();
 
-  for (;;) {
-    BatchClose close = BatchClose::kWindow;
-    std::vector<Pending> batch =
-        queue.pop_batch(max_requests, cfg_.batch.max_batch_points, window,
-                        &close);
-    if (batch.empty()) return;  // closed and drained
-    const Clock::time_point popped = Clock::now();
+  Pending p;
+  while (queue.pop(&p)) {  // false once closed and drained
     if (abandon_.load(std::memory_order_acquire)) {
-      for (Pending& p : batch) {
-        sstats_.rejected_shutdown.inc();
-        answer_rejection(p, Status::kRejectedShutdown);
-      }
+      sstats_.rejected_shutdown.inc();
+      answer_rejection(p, Status::kRejectedShutdown);
       continue;
     }
-    switch (close) {
-      case BatchClose::kWindow:
-        sstats_.close_window.inc();
-        break;
-      case BatchClose::kRequests:
-        sstats_.close_requests.inc();
-        break;
-      case BatchClose::kPoints:
-        sstats_.close_points.inc();
-        break;
-      case BatchClose::kClosed:
-        sstats_.close_closed.inc();
-        break;
-    }
-    finish_batch(std::move(batch), backends, shard, popped,
-                 large ? "large" : batch_close_name(close));
+    finish(std::move(p), backends, shard, lane);
   }
 }
 
-void HullService::finish_batch(std::vector<Pending> batch,
-                               const BackendSet& backends,
-                               std::size_t shard, Clock::time_point popped,
-                               const char* tag) {
-  // Deadline expiry is detected here, at the pop: anything past its
+void HullService::finish(Pending p, const BackendSet& backends,
+                         std::size_t shard, const char* lane) {
+  const Clock::time_point popped = Clock::now();
+  Request& req = p.request;
+  // Deadline expiry is detected here, at the pop: a request past its
   // deadline is answered kExpired without spending engine time on it.
-  std::vector<Pending> live;
-  live.reserve(batch.size());
-  for (Pending& p : batch) {
-    if (p.request.has_deadline() && p.request.deadline < popped) {
-      sstats_.expired.inc();
-      Response r;
-      r.id = p.request.id;
-      r.status = Status::kExpired;
-      r.trace = p.request.trace;
-      r.metrics.queue_wait_ms = ms_between(p.enqueued_at, popped);
-      r.metrics.e2e_ms = r.metrics.queue_wait_ms;
-      p.promise.set_value(std::move(r));
-    } else {
-      live.push_back(std::move(p));
-    }
+  if (req.has_deadline() && req.deadline < popped) {
+    sstats_.expired.inc();
+    Response r;
+    r.id = req.id;
+    r.status = Status::kExpired;
+    r.trace = req.trace;
+    r.metrics.queue_wait_ms = ms_between(p.enqueued_at, popped);
+    r.metrics.e2e_ms = r.metrics.queue_wait_ms;
+    p.promise.set_value(std::move(r));
+    return;
   }
-  if (live.empty()) return;
-
-  std::vector<Request> reqs;
-  reqs.reserve(live.size());
-  for (Pending& p : live) reqs.push_back(std::move(p.request));
 
   sstats_.shards_leased.add(1);
-  BatchExecInfo info;
-  std::vector<Response> responses =
-      execute_batch(backends, reqs, cfg_.master_seed, &info);
+  Execution ex = execute(backends, req, cfg_.master_seed);
   sstats_.shards_leased.add(-1);
-  IPH_CHECK(responses.size() == live.size());
-  IPH_CHECK(info.completed_at.size() == live.size());
-  IPH_CHECK(info.started_at.size() == live.size());
-  IPH_CHECK(info.phase_spans.size() == live.size());
+  Response& resp = ex.response;
+  resp.metrics.shard = shard;
+  resp.metrics.queue_wait_ms = ms_between(p.enqueued_at, popped);
+  resp.metrics.e2e_ms = ms_between(p.enqueued_at, ex.completed_at);
+  resp.trace = req.trace;
 
-  // Stats strictly before the promise fan-out: a caller that has seen
-  // its Response observes counters that already include it.
+  // Stats strictly before the promise: a caller that has seen its
+  // Response observes counters that already include it.
   sstats_.shard_busy_us[shard]->inc(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
-          info.completed_at.back() - popped)
+          ex.completed_at - popped)
           .count()));
-  sstats_.batches.inc();
-  sstats_.completed.inc(live.size());
-  sstats_.batch_size.record(static_cast<double>(live.size()));
-  sstats_.fold_pram(info.pram_total);
-  sstats_.backend_pram.inc(info.pram_requests);
-  sstats_.backend_native.inc(info.native_requests);
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    responses[i].metrics.shard = shard;
-    responses[i].metrics.queue_wait_ms =
-        ms_between(live[i].enqueued_at, popped);
-    // Each request's OWN completion stamp, not the batch tail's: the
-    // requests ran back-to-back in one run, so e2e grows along the
-    // batch and (e2e - queue_wait) is per-request.
-    responses[i].metrics.e2e_ms =
-        ms_between(live[i].enqueued_at, info.completed_at[i]);
-    responses[i].trace = reqs[i].trace;
-    sstats_.queue_wait_ms.record(responses[i].metrics.queue_wait_ms);
-    sstats_.exec_ms.record(responses[i].metrics.exec_ms);
-    sstats_.e2e_ms.record(responses[i].metrics.e2e_ms);
-    publish_request_trace(reqs[i], responses[i], tag, live[i].enqueued_at,
-                          popped, info.started_at[i], info.completed_at[i],
-                          live.size(), info.phase_spans[i]);
-    live[i].promise.set_value(std::move(responses[i]));
-  }
+  sstats_.completed.inc();
+  sstats_.fold_pram(ex.pram);
+  (resp.metrics.backend == exec::BackendKind::kNative
+       ? sstats_.backend_native
+       : sstats_.backend_pram)
+      .inc();
+  sstats_.queue_wait_ms.record(resp.metrics.queue_wait_ms);
+  sstats_.exec_ms.record(resp.metrics.exec_ms);
+  sstats_.e2e_ms.record(resp.metrics.e2e_ms);
+  publish_request_trace(req, lane, p.enqueued_at, popped, ex);
+  p.promise.set_value(std::move(resp));
 }
 
-void HullService::publish_request_trace(
-    const Request& req, const Response& resp, const char* tag,
-    Clock::time_point enqueued, Clock::time_point popped,
-    Clock::time_point started, Clock::time_point completed,
-    std::uint64_t batch_size,
-    const std::vector<trace::PhaseSpan>& phase_spans) {
+void HullService::publish_request_trace(const Request& req, const char* lane,
+                                        Clock::time_point enqueued,
+                                        Clock::time_point popped,
+                                        const Execution& ex) {
   if (flight_ == nullptr) return;
+  const Response& resp = ex.response;
   obs::CompletedTrace t;
   t.trace_id = req.trace.trace_id;
   t.parent_span = req.trace.parent_span;
   t.request_id = req.id;
   t.status = status_name(resp.status);
   t.backend = exec::backend_name(resp.metrics.backend);
-  t.tag = tag;
-  t.batch_size = batch_size;
+  t.tag = lane;
   t.e2e_ms = resp.metrics.e2e_ms;
   // The fixed 4-span tree (span.h reconciliation contract). The root's
   // parent is the caller's span when the wire supplied one. Workers own
   // their machines, so the lease span is zero-length at the pop stamp.
   t.spans.reserve(obs::kSpansPerRequest);
   t.spans.push_back({"request", obs::kRootSpanId, 0, steady_ns(enqueued),
-                     steady_ns(completed)});
+                     steady_ns(ex.completed_at)});
   t.spans.push_back({"queue_wait", obs::kQueueWaitSpanId, obs::kRootSpanId,
                      steady_ns(enqueued), steady_ns(popped)});
   t.spans.push_back({"lease", obs::kLeaseSpanId, obs::kRootSpanId,
                      steady_ns(popped), steady_ns(popped)});
   t.spans.push_back({"exec", obs::kExecSpanId, obs::kRootSpanId,
-                     steady_ns(started), steady_ns(completed)});
+                     steady_ns(ex.started_at), steady_ns(ex.completed_at)});
   t.phase_spans =
-      obs::exec_phase_spans(phase_spans, &t.phase_spans_truncated);
+      obs::exec_phase_spans(ex.phase_spans, &t.phase_spans_truncated);
   // Tail exemplar about to be pinned: give it a standalone repro file
   // (native runs only — PRAM tails are explained by their linked phase
   // tree instead). Advisory check; the pin itself happens in publish.

@@ -4,22 +4,19 @@
 //
 // Architecture (DESIGN.md "Serving layer"):
 //
-//   submit ─admission─> small queue ─> `shards` workers ──┐ finish_batch:
-//      │                               (batches)          ├─> expiry, run,
+//   submit ─admission─> small queue ─> `shards` workers ──┐ finish:
+//      │                                                  ├─> expiry, run,
 //      └─(points >= small_threshold)─> large queue ─>     │   stats, spans,
-//                                      large worker ──────┘   promises
-//                                      (batches of one)
+//                                      large worker ──────┘   promise
 //
 // * Admission control happens on the caller's thread: a full queue or a
 //   shut-down service answers immediately with a ready rejected future
 //   — no request is ever silently dropped.
 // * Every worker owns one pram::Machine (its shard) for the service's
-//   whole lifetime and runs one loop: pop a batch (BoundedQueue::
-//   pop_batch), then finish_batch. The small-lane workers pop under the
-//   policy window and budgets; the large-lane worker pops batches of one
-//   with no window, so a big query never sits behind a batch and a
-//   batch never waits on a big query. Both lanes share the one finish
-//   path.
+//   whole lifetime and runs one loop on both lanes: pop one request
+//   (BoundedQueue::pop), then finish it. A request never waits for
+//   other requests; a popped one runs at once. The large lane has its
+//   own worker, so a big query never delays a small one.
 // * shutdown(drain=true) closes admissions and drains: every admitted
 //   request still executes. drain=false answers the backlog with
 //   kRejectedShutdown instead. The destructor drains.
@@ -55,9 +52,9 @@ namespace iph::serve {
 
 struct ServiceConfig {
   std::size_t queue_capacity = 1024;  ///< per queue (small and large).
-  std::size_t shards = 2;             ///< small-lane workers (batch path).
+  std::size_t shards = 2;             ///< small-lane workers.
   unsigned threads_per_shard = 0;     ///< 0 = support::env_threads().
-  BatchPolicy batch;
+  BatchPolicy batch;  ///< The lane threshold (batcher.h).
   std::uint64_t master_seed = 0x19910722ULL;
   bool trace = false;  ///< attach a trace::Recorder per shard.
   /// Flight-recorder shape (obs/flight_recorder.h). Enabled by default:
@@ -122,24 +119,21 @@ class HullService {
   }
 
  private:
-  /// One worker's life: pop batches from its lane's queue and finish
-  /// each on shard `shard`'s machine. shard == shard_count() is the
-  /// large lane.
+  /// One worker's life: pop requests one at a time from its lane's
+  /// queue and finish each on shard `shard`'s machine. shard ==
+  /// shard_count() is the large lane.
   void worker(std::size_t shard);
   void answer_rejection(Pending& p, Status status);
-  void finish_batch(std::vector<Pending> batch, const BackendSet& backends,
-                    std::size_t shard, Clock::time_point popped,
-                    const char* tag);
+  /// Expire, or run and answer, one popped request. `lane` ("small" or
+  /// "large") tags its trace.
+  void finish(Pending p, const BackendSet& backends, std::size_t shard,
+              const char* lane);
   static std::future<Response> ready_response(Response r);
   /// Assemble + publish one completed request's span tree (no-op
-  /// without a flight recorder). `phase_spans` are the request's run's
-  /// spans, taken from the shard's recorder (BatchExecInfo).
-  void publish_request_trace(
-      const Request& req, const Response& resp, const char* tag,
-      Clock::time_point enqueued, Clock::time_point popped,
-      Clock::time_point started, Clock::time_point completed,
-      std::uint64_t batch_size,
-      const std::vector<trace::PhaseSpan>& phase_spans);
+  /// without a flight recorder) from its run `ex`.
+  void publish_request_trace(const Request& req, const char* lane,
+                             Clock::time_point enqueued,
+                             Clock::time_point popped, const Execution& ex);
 
   ServiceConfig cfg_;
   // Registry before queues and workers: both hold bound instrument

@@ -17,18 +17,7 @@ ServeStats::ServeStats(stats::Registry& registry, std::size_t shards)
           labeled(statnames::kRejectedBase, "reason", "shutdown"))),
       expired(registry.counter(statnames::kExpired)),
       completed(registry.counter(statnames::kCompleted)),
-      batches(registry.counter(statnames::kBatches)),
-      close_window(registry.counter(
-          labeled(statnames::kBatchCloseBase, "reason", "window"))),
-      close_requests(registry.counter(
-          labeled(statnames::kBatchCloseBase, "reason", "requests"))),
-      close_points(registry.counter(
-          labeled(statnames::kBatchCloseBase, "reason", "points"))),
-      close_closed(registry.counter(
-          labeled(statnames::kBatchCloseBase, "reason", "closed"))),
       large_requests(registry.counter(statnames::kLargeRequests)),
-      batch_size(registry.histogram(statnames::kBatchSize,
-                                    stats::batch_size_bounds())),
       backend_pram(registry.counter(
           labeled(statnames::kBackendBase, "backend", "pram"))),
       backend_native(registry.counter(
@@ -58,13 +47,6 @@ ServeStats::ServeStats(stats::Registry& registry, std::size_t shards)
         pram_counters_.push_back(&registry.counter(
             std::string(statnames::kPramPrefix) + name + "_total"));
       });
-}
-
-double mean_batch(const stats::RegistrySnapshot& s) noexcept {
-  const stats::HistogramSnapshot* h = s.histogram(statnames::kBatchSize);
-  return h != nullptr && h->count != 0
-             ? h->sum / static_cast<double>(h->count)
-             : 0.0;
 }
 
 void ServeStats::fold_pram(const pram::Metrics& m) noexcept {

@@ -5,7 +5,7 @@
 // services could share or separate registries) and hands out typed
 // references. HullService constructs one over its own registry — the
 // service's only counter set — and wires the pieces: the queues' depth
-// gauges and its own admission, batch, occupancy and latency recording.
+// gauges and its own admission, lane, occupancy and latency recording.
 //
 // Metric names are exported verbatim (Prometheus-style, labels baked in
 // via stats::labeled) — statnames:: has the constants so the server,
@@ -19,12 +19,10 @@
 // and every accepted request terminates exactly once as completed,
 // expired, or rejected{shutdown} (abandoned at shutdown):
 //   accepted == completed + expired + rejected_at_shutdown_drain
-// Both lanes run the same finish path, and a large-lane run counts as a
-// batch of one, so every executed batch records its size once:
-//   sum(batch_size) == completed
-// and every popped batch records one close reason, executed or not:
-//   sum(batch_close) == batches + all-expired batches
-// All counters are bumped BEFORE the corresponding promise is
+// and every completed request ran on exactly one engine:
+//   backend{pram} + backend{native} == completed
+// Both lanes run the same one-request finish path, so these hold per
+// lane. All counters are bumped BEFORE the corresponding promise is
 // fulfilled; a client that has collected all its responses therefore
 // always reads fully-settled counters.
 #pragma once
@@ -44,13 +42,10 @@ inline constexpr const char* kAccepted = "iph_serve_accepted_total";
 inline constexpr const char* kRejectedBase = "iph_serve_rejected_total";
 inline constexpr const char* kExpired = "iph_serve_expired_total";
 inline constexpr const char* kCompleted = "iph_serve_completed_total";
-inline constexpr const char* kBatches = "iph_serve_batches_total";
-inline constexpr const char* kBatchCloseBase = "iph_serve_batch_close_total";
 inline constexpr const char* kLargeRequests = "iph_serve_large_requests_total";
 inline constexpr const char* kQueueDepthBase = "iph_serve_queue_depth";
 inline constexpr const char* kShardsLeased = "iph_serve_shards_leased";
 inline constexpr const char* kShardBusyBase = "iph_serve_shard_busy_us_total";
-inline constexpr const char* kBatchSize = "iph_serve_batch_size";
 inline constexpr const char* kQueueWaitMs = "iph_serve_queue_wait_ms";
 inline constexpr const char* kExecMs = "iph_serve_exec_ms";
 inline constexpr const char* kE2eMs = "iph_serve_e2e_ms";
@@ -60,10 +55,6 @@ inline constexpr const char* kPramPrefix = "iph_serve_pram_";
 /// request was served by exactly one engine.
 inline constexpr const char* kBackendBase = "iph_serve_backend_requests_total";
 }  // namespace statnames
-
-/// Mean executed batch size over a snapshot (or a diff of two):
-/// iph_serve_batch_size sum over its count, 0 when no batch ran.
-double mean_batch(const stats::RegistrySnapshot& s) noexcept;
 
 /// Typed handles into a Registry for every serving instrument (see
 /// statnames for the exported spellings). `shards` sizes the per-shard
@@ -81,21 +72,16 @@ class ServeStats {
   stats::Counter& expired;
   stats::Counter& completed;
 
-  // Batch shaping.
-  stats::Counter& batches;
-  stats::Counter& close_window;
-  stats::Counter& close_requests;
-  stats::Counter& close_points;
-  stats::Counter& close_closed;
+  // Requests admitted to the large lane.
   stats::Counter& large_requests;
-  stats::Histogram& batch_size;
 
   // Which execution engine served each completed request
   // (statnames::kBackendBase, labeled by backend name).
   stats::Counter& backend_pram;
   stats::Counter& backend_native;
 
-  // Occupancy. `shards_leased` counts shards running a batch right now.
+  // Occupancy. `shards_leased` counts shards running a request right
+  // now.
   stats::Gauge& small_depth;
   stats::Gauge& large_depth;
   stats::Gauge& shards_leased;
@@ -105,8 +91,8 @@ class ServeStats {
   stats::Histogram& exec_ms;
   stats::Histogram& e2e_ms;
 
-  /// Busy-time counters (pop to last completion of each executed
-  /// batch), one per shard index; "large" is the last.
+  /// Busy-time counters (pop to completion of each executed request),
+  /// one per shard index; "large" is the last.
   std::vector<stats::Counter*> shard_busy_us;
 
   /// Fold a finished run's PRAM counters into the registry's

@@ -2,7 +2,7 @@
 //
 // The serving stack (serve/, tools/hullserved, tools/hullload) needs an
 // aggregate, exportable view of what the server actually did — rejects
-// by reason, queue depth, batch shaping, latency distributions — so
+// by reason, queue depth, occupancy, latency distributions — so
 // perf claims can be cross-checked against *server-side* counters
 // instead of trusting the client's echo (bench/e14, CI serve-smoke).
 //

@@ -16,7 +16,7 @@ bool env_flag(const char* name, bool fallback) noexcept {
 unsigned env_threads() noexcept {
   if (const char* s = std::getenv("IPH_THREADS")) {
     const long v = std::strtol(s, nullptr, 10);
-    if (v >= 1 && v <= 4096) return static_cast<unsigned>(v);
+    if (v >= 1 && v <= kMaxThreads) return static_cast<unsigned>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

@@ -16,8 +16,8 @@
 //                    processors than this runs inline on the calling
 //                    thread instead of through the pool. Scheduling
 //                    only — results and PRAM metrics never depend on it.
-//                    Clamped to >= 1; the serving batcher tunes it per
-//                    shard via Machine::set_grain.
+//                    Clamped to >= 1; Machine::set_grain overrides it
+//                    per machine.
 //
 // The bench/report harness reads further knobs (IPH_BENCH_OUT_DIR,
 // IPH_BENCH_MAX_N, IPH_BENCH_BASELINE_DIR, IPH_BENCH_TOL,
@@ -30,6 +30,10 @@
 #include <string>
 
 namespace iph::support {
+
+/// Most threads one pool or machine may be asked for: IPH_THREADS above
+/// it is ignored, and the serving tools' --threads rejects it.
+inline constexpr unsigned kMaxThreads = 4096;
 
 /// Number of hardware threads the simulator should use.
 unsigned env_threads() noexcept;

@@ -1101,6 +1101,43 @@ TEST(Endpoint, ParsesListsAndRejectsGarbage) {
   EXPECT_FALSE(parse_endpoint_list("noport", &eps));
   EXPECT_FALSE(parse_endpoint_list("h:0,", &eps));
   EXPECT_FALSE(parse_endpoint_list("h:99999", &eps));
+  EXPECT_FALSE(parse_endpoint_list("h:80x", &eps));
+  EXPECT_FALSE(parse_endpoint_list("h:-80", &eps));
+}
+
+// The tools' numeric flags: a whole number in range, or nothing. Before,
+// atoi/atoll read "2x" as 2 and "abc" as 0, and a negative count wrapped
+// to an enormous unsigned one.
+TEST(Endpoint, ParseNumberTakesWholeInRangeValuesOnly) {
+  unsigned threads = 7;
+  EXPECT_TRUE(parse_number("4096", 0, 4096, &threads));
+  EXPECT_EQ(threads, 4096u);
+  EXPECT_TRUE(parse_number("0", 0, 4096, &threads));
+  EXPECT_EQ(threads, 0u);
+  for (const char* bad : {"", "abc", "2x", " 2", "+2", "-1", "4097",
+                          "99999999999999999999", "0x10", "1.5"}) {
+    threads = 7;
+    EXPECT_FALSE(parse_number(bad, 0, 4096, &threads)) << bad;
+    EXPECT_EQ(threads, 7u) << bad;
+  }
+  std::size_t shards = 0;
+  EXPECT_FALSE(parse_number("-1", 1, 4096, &shards));
+  EXPECT_FALSE(parse_number("0", 1, 4096, &shards));
+  int port = -1;
+  EXPECT_FALSE(parse_number("-3", 0, 65535, &port));
+  EXPECT_FALSE(parse_number("65536", 0, 65535, &port));
+  EXPECT_EQ(port, -1);
+  std::uint64_t seed = 0;
+  EXPECT_TRUE(parse_number("18446744073709551615", 0, UINT64_MAX, &seed));
+  EXPECT_EQ(seed, UINT64_MAX);
+  EXPECT_FALSE(parse_number("18446744073709551616", 0, UINT64_MAX, &seed));
+  double qps = 1;
+  EXPECT_TRUE(parse_number("2.5e3", 0.0, 1e300, &qps));
+  EXPECT_DOUBLE_EQ(qps, 2500.0);
+  for (const char* bad : {"nan", "inf", "-0.5", "1e999", "3q"}) {
+    EXPECT_FALSE(parse_number(bad, 0.0, 1e300, &qps)) << bad;
+  }
+  EXPECT_DOUBLE_EQ(qps, 2500.0);
 }
 
 /// A hullserved or hullrouter child on a kernel-picked port, read from
@@ -1347,16 +1384,31 @@ TEST(Endpoint, StopSignalOnAnyThreadEndsTheServer) {
       << "hullserved";
 }
 
+// Threads a sanitizer runtime adds to every process that starts
+// threads of its own: ThreadSanitizer runs one background thread.
+#if defined(__SANITIZE_THREAD__)
+constexpr std::size_t kSanitizerThreads = 1;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr std::size_t kSanitizerThreads = 1;
+#else
+constexpr std::size_t kSanitizerThreads = 0;
+#endif
+#else
+constexpr std::size_t kSanitizerThreads = 0;
+#endif
+
 // hullserved's --threads bounds every engine it owns, the session
 // manager's native pool and PRAM machine too. Idle at --threads 1
 // --shards 2 it runs main, two small-lane workers and the large-lane
-// worker; with the session engines at hardware width it ran 10
-// threads on a 4-core machine.
+// worker, plus the sanitizer's own thread in a ThreadSanitizer build;
+// with the session engines at hardware width it ran 10 threads on a
+// 4-core machine.
 TEST(Endpoint, ThreadsFlagBoundsTheSessionEngines) {
   const ToolProcess backend({IPH_HULLSERVED_BIN, "--quiet", "--port", "0",
                              "--threads", "1", "--shards", "2"});
   ASSERT_GT(backend.port(), 0);
-  EXPECT_LE(backend.threads(), 4u);
+  EXPECT_LE(backend.threads(), 4u + kSanitizerThreads);
 }
 
 }  // namespace

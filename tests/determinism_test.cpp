@@ -114,27 +114,32 @@ std::string algo_name(const ::testing::TestParamInfo<int>& info) {
 INSTANTIATE_TEST_SUITE_P(AllAlgos, ThreadDeterminism,
                          ::testing::Values(0, 1, 2, 3, 4), algo_name);
 
-// --- serving layer: batched == solo -----------------------------------
+// --- serving layer: reused machine == fresh machine ------------------
 //
 // The serve determinism contract (serve/request.h): a request executes
 // under derive_request_seed(master, id), so its result is a pure
-// function of (points, id, alpha, master seed) — NOT of which other
-// requests were coalesced into the same batch, of arrival order, or of
-// the shard's thread count. Batched runs must be bit-identical to solo
-// runs of each request.
+// function of (points, id, alpha, master seed) — NOT of which requests
+// ran before it on the worker's reused machine, of arrival order, or of
+// the shard's thread count. Runs back to back on one reused machine
+// must be bit-identical to fresh-machine runs of each request.
 
-/// One batch on a PRAM engine over `m` alone, of copies of `reqs` (a
-/// batch consumes its requests; the callers reuse theirs).
-std::vector<serve::Response> pram_batch(pram::Machine& m,
-                                        std::vector<serve::Request> reqs,
-                                        std::uint64_t master_seed) {
+/// Each request of (copies of) `reqs` run in turn, as a service worker
+/// runs them, on a PRAM engine over `m` alone (a run consumes its
+/// request's points; the callers reuse theirs).
+std::vector<serve::Response> run_in_turn(pram::Machine& m,
+                                         std::vector<serve::Request> reqs,
+                                         std::uint64_t master_seed) {
   exec::PramBackend pram(m);
   serve::BackendSet backends;
   backends.pram = &pram;
-  return serve::execute_batch(backends, reqs, master_seed);
+  std::vector<serve::Response> out;
+  for (serve::Request& r : reqs) {
+    out.push_back(serve::execute(backends, r, master_seed).response);
+  }
+  return out;
 }
 
-TEST(ServeDeterminism, BatchedEqualsSoloBitIdentical) {
+TEST(ServeDeterminism, ReusedMachineEqualsFreshMachineBitIdentical) {
   constexpr std::uint64_t kMaster = 0xfeedULL;
   std::vector<serve::Request> reqs;
   for (serve::RequestId id = 1; id <= 6; ++id) {
@@ -144,32 +149,32 @@ TEST(ServeDeterminism, BatchedEqualsSoloBitIdentical) {
     reqs.push_back(std::move(r));
   }
 
-  pram::Machine batch_machine(2, kMaster);
-  const auto batched = pram_batch(batch_machine, reqs, kMaster);
-  ASSERT_EQ(batched.size(), reqs.size());
+  pram::Machine reused(2, kMaster);
+  const auto served = run_in_turn(reused, reqs, kMaster);
+  ASSERT_EQ(served.size(), reqs.size());
 
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    // Solo reference: own machine, different thread count on purpose.
-    pram::Machine solo(4,
-                       serve::derive_request_seed(kMaster, reqs[i].id));
+    // Fresh reference: own machine, different thread count on purpose.
+    pram::Machine fresh(4,
+                        serve::derive_request_seed(kMaster, reqs[i].id));
     Options opts;
     opts.alpha = reqs[i].alpha;
-    const Hull2D h = upper_hull_2d(solo, reqs[i].points, opts);
-    EXPECT_EQ(batched[i].hull.upper.vertices, h.result.upper.vertices)
+    const Hull2D h = upper_hull_2d(fresh, reqs[i].points, opts);
+    EXPECT_EQ(served[i].hull.upper.vertices, h.result.upper.vertices)
         << "request " << reqs[i].id;
-    EXPECT_EQ(batched[i].hull.edge_above, h.result.edge_above);
-    EXPECT_EQ(batched[i].metrics.steps, h.metrics.steps);
-    EXPECT_EQ(batched[i].metrics.work, h.metrics.work);
-    EXPECT_EQ(batched[i].metrics.max_active, h.metrics.max_active);
+    EXPECT_EQ(served[i].hull.edge_above, h.result.edge_above);
+    EXPECT_EQ(served[i].metrics.steps, h.metrics.steps);
+    EXPECT_EQ(served[i].metrics.work, h.metrics.work);
+    EXPECT_EQ(served[i].metrics.max_active, h.metrics.max_active);
   }
 
-  // Batch composition must not matter: reversed order, one machine.
+  // The order of earlier runs must not matter: reversed, one machine.
   std::vector<serve::Request> reversed(reqs.rbegin(), reqs.rend());
   pram::Machine other(1, 0xdeadULL);  // pool seed is irrelevant too
-  const auto rebatched = pram_batch(other, reversed, kMaster);
+  const auto rerun = run_in_turn(other, reversed, kMaster);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const auto& fwd = batched[i];
-    const auto& rev = rebatched[reqs.size() - 1 - i];
+    const auto& fwd = served[i];
+    const auto& rev = rerun[reqs.size() - 1 - i];
     ASSERT_EQ(fwd.id, rev.id);
     EXPECT_EQ(fwd.hull.upper.vertices, rev.hull.upper.vertices);
     EXPECT_EQ(fwd.hull.edge_above, rev.hull.edge_above);

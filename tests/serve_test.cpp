@@ -1,5 +1,5 @@
-// iph::serve — queue admission, deadline expiry, lane routing, batching
-// and shutdown-drain semantics. The concurrency tests here are the ones
+// iph::serve — queue admission, deadline expiry, lane routing,
+// one-request execution and shutdown-drain semantics. The concurrency tests here are the ones
 // CI runs under TSan with the step-race checker armed (IPH_PRAM_CHECK=1)
 // — they hammer submit/shutdown races on purpose.
 #include <gtest/gtest.h>
@@ -70,83 +70,61 @@ TEST(BoundedQueue, RejectsWhenFullAndAfterClose) {
   q.close();
   Pending d;
   EXPECT_EQ(q.push(d), BoundedQueue::Admit::kClosed);
-  // close() drains: both admitted items still come out, then empty.
-  EXPECT_EQ(q.pop_batch(1, 1, 0us).size(), 1u);
-  EXPECT_EQ(q.pop_batch(1, 1, 0us).size(), 1u);
-  EXPECT_TRUE(q.pop_batch(1, 1, 0us).empty());
+  // close() drains: both admitted items still come out, then none.
+  Pending out;
+  EXPECT_TRUE(q.pop(&out));
+  EXPECT_TRUE(q.pop(&out));
+  EXPECT_FALSE(q.pop(&out));
 }
 
-TEST(BoundedQueue, PopBatchRespectsBudgetsAndTakesOversizedFirst) {
-  BoundedQueue q(16);
-  auto push_n_points = [&](std::size_t n) {
-    Pending p;
-    p.request.points.resize(n);
-    ASSERT_EQ(q.push(p), BoundedQueue::Admit::kOk);
-  };
-  push_n_points(1000);  // oversized vs the 500-point budget below
-  push_n_points(100);
-  push_n_points(100);
-  push_n_points(100);
-  // First item is taken unconditionally (an oversized request must not
-  // wedge the queue); it already exceeds the point budget, so the batch
-  // is exactly one.
-  auto batch = q.pop_batch(8, 500, 0us);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].request.points.size(), 1000u);
-  // Budgets bound the rest: 3 x 100 points fit under 500.
-  batch = q.pop_batch(2, 500, 0us);
-  EXPECT_EQ(batch.size(), 2u);  // request budget
-  batch = q.pop_batch(8, 500, 0us);
-  EXPECT_EQ(batch.size(), 1u);
-  q.close();
-  EXPECT_TRUE(q.pop_batch(8, 500, 0us).empty());
-}
-
-TEST(BoundedQueue, PopBatchReportsCloseReasonAndDepth) {
+// pop() hands out one item at a time, oldest first, whatever its size,
+// and the bound depth gauge follows every push and pop.
+TEST(BoundedQueue, PopsOneAtATimeInOrderAndTracksDepth) {
   BoundedQueue q(16);
   stats::Gauge depth;
   q.bind_depth_gauge(&depth);
-  auto push_n_points = [&](std::size_t n) {
+  for (const std::size_t n : {1000u, 100u, 10u}) {
     Pending p;
     p.request.points.resize(n);
     ASSERT_EQ(q.push(p), BoundedQueue::Admit::kOk);
-  };
-  push_n_points(1000);
-  push_n_points(100);
-  push_n_points(100);
-  push_n_points(100);
-  EXPECT_EQ(depth.value(), 4);
-
-  BatchClose reason = BatchClose::kWindow;
-  // Oversized head blows the point budget immediately.
-  auto batch = q.pop_batch(8, 500, 0us, &reason);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(reason, BatchClose::kPoints);
-  // Request budget closes the next one.
-  batch = q.pop_batch(2, 500, 0us, &reason);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(reason, BatchClose::kRequests);
+  }
+  EXPECT_EQ(depth.value(), 3);
+  Pending out;
+  for (const std::size_t n : {1000u, 100u}) {
+    ASSERT_TRUE(q.pop(&out));
+    EXPECT_EQ(out.request.points.size(), n);
+  }
   EXPECT_EQ(depth.value(), 1);
-  // Window elapses with one straggler collected.
-  batch = q.pop_batch(8, 500, 0us, &reason);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(reason, BatchClose::kWindow);
-  EXPECT_EQ(depth.value(), 0);
-  // An oversized head alone in the queue spends the point budget: the
-  // batch closes at once instead of waiting out the window for a
-  // straggler that could not fit.
-  push_n_points(1000);
-  const Clock::time_point t0 = Clock::now();
-  batch = q.pop_batch(8, 500, 1s, &reason);
-  EXPECT_LT(ms_between(t0, Clock::now()), 500.0);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(reason, BatchClose::kPoints);
-  // A closed queue hands out its backlog under the kClosed reason.
-  push_n_points(100);
+  // A closed queue still hands out its backlog, then reports the end.
   q.close();
-  batch = q.pop_batch(8, 500, 0us, &reason);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(reason, BatchClose::kClosed);
+  ASSERT_TRUE(q.pop(&out));
+  EXPECT_EQ(out.request.points.size(), 10u);
+  EXPECT_EQ(depth.value(), 0);
+  EXPECT_FALSE(q.pop(&out));
+}
+
+// A consumer blocked in pop() wakes for the next push, and for close().
+TEST(BoundedQueue, PopBlocksUntilPushOrClose) {
+  BoundedQueue q(4);
+  std::atomic<int> popped{0};
+  std::atomic<bool> ended{false};
+  std::thread consumer([&] {
+    Pending out;
+    while (q.pop(&out)) popped.fetch_add(1);
+    ended.store(true);
+  });
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(popped.load(), 0);
+  Pending p;
+  ASSERT_EQ(q.push(p), BoundedQueue::Admit::kOk);
+  for (int i = 0; i < 2000 && popped.load() == 0; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(popped.load(), 1);
+  EXPECT_FALSE(ended.load());
+  q.close();
+  consumer.join();
+  EXPECT_TRUE(ended.load());
 }
 
 // --- HullService ------------------------------------------------------
@@ -166,7 +144,6 @@ ServiceConfig small_config() {
   cfg.shards = 2;
   cfg.threads_per_shard = 2;
   cfg.queue_capacity = 256;
-  cfg.batch.window = 200us;
   return cfg;
 }
 
@@ -190,7 +167,9 @@ TEST(HullService, ServedHullMatchesDirectApiCall) {
   EXPECT_EQ(resp.metrics.steps, solo.metrics.steps);
   EXPECT_EQ(resp.metrics.work, solo.metrics.work);
   EXPECT_EQ(resp.metrics.seed, opts.seed);
-  EXPECT_GE(resp.metrics.batch_size, 1u);
+  EXPECT_EQ(resp.metrics.batch_size, 1u);
+  // e2e covers at least the request's own execution.
+  EXPECT_GE(resp.metrics.e2e_ms, resp.metrics.exec_ms);
 }
 
 TEST(HullService, DeadlineExpiryMidQueueAnswersExpired) {
@@ -207,14 +186,13 @@ TEST(HullService, DeadlineExpiryMidQueueAnswersExpired) {
 }
 
 TEST(HullService, QueueFullRejectsWithReason) {
-  // One worker consuming one request per batch, capacity-1 queue:
-  // submitting is orders of magnitude cheaper than executing a
-  // 512-point hull, so a tight burst must overflow the queue and the
-  // overflow must come back as an immediate kRejectedFull answer.
+  // One worker, capacity-1 queue: submitting is orders of magnitude
+  // cheaper than executing a 512-point hull, so a tight burst must
+  // overflow the queue and the overflow must come back as an immediate
+  // kRejectedFull answer.
   ServiceConfig cfg = small_config();
   cfg.shards = 1;
   cfg.queue_capacity = 1;
-  cfg.batch.max_batch_requests = 1;
   HullService svc(cfg);
   std::vector<std::future<Response>> futs;
   futs.reserve(64);
@@ -246,17 +224,20 @@ TEST(HullService, LargeRequestsRouteToTheDedicatedShard) {
   ASSERT_EQ(small.status, Status::kOk);
   EXPECT_EQ(big.metrics.shard, svc.shard_count());  // large shard index
   EXPECT_LT(small.metrics.shard, svc.shard_count());
-  EXPECT_EQ(big.metrics.batch_size, 1u);  // the large lane's batch of one
+  EXPECT_EQ(big.metrics.batch_size, 1u);
   EXPECT_EQ(counter(svc, statnames::kLargeRequests), 1u);
-  // Its trace is tagged by lane, not by a batch close reason.
-  bool saw_big = false;
+  // Each trace is tagged with its lane.
+  int tagged = 0;
   for (const obs::CompletedTrace& t : svc.flight_recorder()->snapshot()) {
     if (t.trace_id == big.trace.trace_id) {
-      saw_big = true;
+      ++tagged;
       EXPECT_STREQ(t.tag, "large");
+    } else if (t.trace_id == small.trace.trace_id) {
+      ++tagged;
+      EXPECT_STREQ(t.tag, "small");
     }
   }
-  EXPECT_TRUE(saw_big);
+  EXPECT_EQ(tagged, 2);
 }
 
 TEST(HullService, SubmitAfterShutdownIsRejected) {
@@ -317,29 +298,61 @@ TEST(HullService, ConcurrentSubmitAndShutdownDrainAnswersEverything) {
   EXPECT_EQ(s.counter_or0(rejected("full")), full);
 }
 
-TEST(HullService, ShutdownWithoutDrainAbandonsTheBacklog) {
+/// A one-shard service whose traffic all rides one lane: the small lane
+/// (whose threshold is raised above every request here) or the large
+/// lane (whose threshold is lowered below every request here).
+ServiceConfig lane_config(bool large) {
   ServiceConfig cfg = small_config();
   cfg.shards = 1;
-  cfg.batch.window = 50ms;  // keep the backlog queued long enough
-  cfg.batch.max_batch_requests = 1;
-  HullService svc(cfg);
-  std::vector<std::future<Response>> futs;
-  for (int i = 0; i < 16; ++i) {
-    futs.push_back(svc.submit(make_request(0, 64, 4)));
-  }
-  svc.shutdown(/*drain=*/false);
-  std::uint64_t answered = 0;
-  for (auto& f : futs) {
-    ASSERT_EQ(f.wait_for(0s), std::future_status::ready);
-    ++answered;
-  }
-  EXPECT_EQ(answered, futs.size());  // abandoned, never silent
+  cfg.batch.small_threshold = large ? 32 : std::size_t{1} << 30;
+  return cfg;
 }
 
-// The serve/stats.h identities, on a snapshot taken after shutdown(),
-// for traffic popped in one-request batches (so every all-expired batch
-// is one expired request). `turned_away` counts the shutdown rejects
-// answered at admission; the rest were admitted, then abandoned.
+/// Queues `backlog` behind a slow first request on a lane_config
+/// service, whose traffic has one worker: submits a 2^14-point PRAM
+/// request (about 60 ms in Release), waits until the worker runs it
+/// (iph_serve_shards_leased reads 1), then submits the requests built
+/// beforehand, so they all wait in the queue. Returns every future, the
+/// slow request's first.
+std::vector<std::future<Response>> submit_behind_a_slow_request(
+    HullService& svc, std::vector<Request> backlog) {
+  std::vector<std::future<Response>> futs;
+  futs.push_back(svc.submit(make_request(0, std::size_t{1} << 14, 4)));
+  for (;;) {
+    const stats::RegistrySnapshot s = svc.stats_registry().snapshot();
+    const std::int64_t* leased = s.gauge(statnames::kShardsLeased);
+    if (leased != nullptr && *leased == 1) break;
+    std::this_thread::sleep_for(100us);
+  }
+  for (Request& r : backlog) futs.push_back(svc.submit(std::move(r)));
+  return futs;
+}
+
+std::vector<Request> small_requests(int count) {
+  std::vector<Request> out;
+  for (int i = 0; i < count; ++i) out.push_back(make_request(0, 64, 4));
+  return out;
+}
+
+TEST(HullService, ShutdownWithoutDrainAbandonsTheBacklog) {
+  ServiceConfig cfg = lane_config(/*large=*/false);
+  HullService svc(cfg);
+  std::vector<std::future<Response>> futs =
+      submit_behind_a_slow_request(svc, small_requests(16));
+  svc.shutdown(/*drain=*/false);
+  // The running request finishes; the queued ones are answered, never
+  // silently dropped, as abandoned.
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    ASSERT_EQ(futs[i].wait_for(0s), std::future_status::ready) << i;
+    EXPECT_EQ(futs[i].get().status,
+              i == 0 ? Status::kOk : Status::kRejectedShutdown)
+        << i;
+  }
+}
+
+// The serve/stats.h identities, on a snapshot taken after shutdown().
+// `turned_away` counts the shutdown rejects answered at admission; the
+// rest were admitted, then abandoned.
 void expect_serve_identities(const stats::RegistrySnapshot& s,
                              std::uint64_t turned_away) {
   namespace sn = statnames;
@@ -363,17 +376,6 @@ void expect_serve_identities(const stats::RegistrySnapshot& s,
   EXPECT_EQ(s.counter_or0(stats::labeled(obs::statnames::kSpansRecordedBase,
                                          "kind", "request")),
             completed * obs::kSpansPerRequest);
-  // Every popped, non-abandoned batch closed for one reason; `batches`
-  // counts only the executed ones, each recording its size once.
-  std::uint64_t closes = 0;
-  for (const char* why : {"window", "requests", "points", "closed"}) {
-    closes += s.counter_or0(stats::labeled(sn::kBatchCloseBase, "reason", why));
-  }
-  EXPECT_EQ(closes, s.counter_or0(sn::kBatches) + expired);
-  const stats::HistogramSnapshot* bs = s.histogram(sn::kBatchSize);
-  ASSERT_NE(bs, nullptr);
-  EXPECT_EQ(bs->count, s.counter_or0(sn::kBatches));
-  EXPECT_DOUBLE_EQ(bs->sum, static_cast<double>(completed));
   // No queue slot or running shard stays occupied.
   for (const std::string& g :
        {stats::labeled(sn::kQueueDepthBase, "queue", "small"),
@@ -383,18 +385,6 @@ void expect_serve_identities(const stats::RegistrySnapshot& s,
     ASSERT_NE(v, nullptr) << g;
     EXPECT_EQ(*v, 0) << g;
   }
-}
-
-/// A one-shard service whose traffic all rides one lane: the small lane
-/// in one-request batches, or the large lane. The requests sent to it
-/// (64..512 points) fall below the default small_threshold and above
-/// the lowered one.
-ServiceConfig lane_config(bool large) {
-  ServiceConfig cfg = small_config();
-  cfg.shards = 1;
-  cfg.batch.max_batch_requests = 1;
-  if (large) cfg.batch.small_threshold = 32;
-  return cfg;
 }
 
 // Regression: shutdown must settle the occupancy gauges no matter how
@@ -408,13 +398,9 @@ TEST(HullService, ShutdownSettlesGaugesAfterDrainAndAbandon) {
     for (const bool drain : {true, false}) {
       SCOPED_TRACE(testing::Message() << "large=" << large
                                       << " drain=" << drain);
-      ServiceConfig cfg = lane_config(large);
-      cfg.batch.window = 50ms;  // keep a real backlog queued at shutdown
-      HullService svc(cfg);
-      std::vector<std::future<Response>> futs;
-      for (int i = 0; i < 24; ++i) {
-        futs.push_back(svc.submit(make_request(0, 64, 4)));
-      }
+      HullService svc(lane_config(large));
+      std::vector<std::future<Response>> futs =
+          submit_behind_a_slow_request(svc, small_requests(24));
       svc.shutdown(drain);
       for (auto& f : futs) {
         ASSERT_EQ(f.wait_for(0s), std::future_status::ready);
@@ -422,102 +408,40 @@ TEST(HullService, ShutdownSettlesGaugesAfterDrainAndAbandon) {
       }
       const stats::RegistrySnapshot snap = svc.stats_registry().snapshot();
       expect_serve_identities(snap, /*turned_away=*/0);
+      // Drain ran the whole backlog; abandon ran only the slow request.
+      EXPECT_EQ(snap.counter_or0(statnames::kCompleted),
+                drain ? futs.size() : 1u);
+      EXPECT_EQ(snap.counter_or0(rejected("shutdown")),
+                drain ? 0u : futs.size() - 1);
       EXPECT_EQ(snap.counter_or0(statnames::kLargeRequests),
                 large ? futs.size() : 0u);
     }
   }
 }
 
-TEST(HullService, BatchingCoalescesABurst) {
-  ServiceConfig cfg = small_config();
-  cfg.shards = 1;
-  cfg.batch.window = 20ms;
-  HullService svc(cfg);
-  std::vector<std::future<Response>> futs;
-  futs.reserve(32);
-  for (int i = 0; i < 32; ++i) {
-    futs.push_back(svc.submit(make_request(0, 64, 8)));
-  }
-  for (auto& f : futs) {
-    EXPECT_EQ(f.get().status, Status::kOk);
-  }
-  const stats::RegistrySnapshot s = svc.stats_registry().snapshot();
-  EXPECT_EQ(s.counter_or0(statnames::kCompleted), 32u);
-  // One worker + a 20ms window: the burst cannot have run one-per-batch.
-  EXPECT_LT(s.counter_or0(statnames::kBatches), 32u);
-  EXPECT_GT(mean_batch(s), 1.0);
-}
-
-TEST(ExecuteBatch, ReportsPerRequestCompletionAndPramTotals) {
+// execute() runs one request and reports its own stamps and the run's
+// full PRAM counters, which agree with the response's.
+TEST(Execute, ReportsStampsAndPramCounters) {
   pram::Machine m(2, 99);
   exec::PramBackend pram_backend(m);
   BackendSet backends;
   backends.pram = &pram_backend;
-  std::vector<Request> reqs;
-  for (int i = 0; i < 4; ++i) {
-    reqs.push_back(make_request(static_cast<RequestId>(i + 1), 128, 11));
-  }
-  BatchExecInfo info;
-  const std::vector<Response> rs =
-      execute_batch(backends, reqs, /*master_seed=*/7, &info);
-  ASSERT_EQ(rs.size(), reqs.size());
-  ASSERT_EQ(info.completed_at.size(), reqs.size());
-  // Requests execute back-to-back inside the lease: completion stamps
-  // strictly increase along the batch.
-  for (std::size_t i = 1; i < info.completed_at.size(); ++i) {
-    EXPECT_GT(info.completed_at[i].time_since_epoch().count(),
-              info.completed_at[i - 1].time_since_epoch().count());
-  }
-  // The machine is reset per request, so its own metrics end up as the
-  // last request's; pram_total is the whole batch.
-  std::uint64_t steps = 0, work = 0;
-  for (const Response& r : rs) {
-    steps += r.metrics.steps;
-    work += r.metrics.work;
-  }
-  EXPECT_EQ(info.pram_total.steps, steps);
-  EXPECT_EQ(info.pram_total.work, work);
+  Request req = make_request(1, 128, 11);
+  const Execution ex = execute(backends, req, /*master_seed=*/7);
+  EXPECT_LT(ex.started_at.time_since_epoch().count(),
+            ex.completed_at.time_since_epoch().count());
+  EXPECT_DOUBLE_EQ(ex.response.metrics.exec_ms,
+                   ms_between(ex.started_at, ex.completed_at));
+  EXPECT_EQ(ex.response.metrics.batch_size, 1u);
+  EXPECT_EQ(ex.response.metrics.seed, derive_request_seed(7, 1));
+  EXPECT_GT(ex.pram.steps, 0u);
+  EXPECT_EQ(ex.pram.steps, ex.response.metrics.steps);
+  EXPECT_EQ(ex.pram.work, ex.response.metrics.work);
+  EXPECT_EQ(ex.pram.max_active, ex.response.metrics.max_active);
 }
 
-// Regression for the batch-metrics overwrite: every batch-mate used to
-// be stamped with the batch tail's end time, so queue/e2e timings were
-// the LAST request's for the whole batch. Now each request's e2e is
-// submit -> its own completion, which strictly increases along a
-// sequentially-executed batch.
-TEST(HullService, BatchMatesReportPerRequestTimings) {
-  ServiceConfig cfg = small_config();
-  cfg.shards = 1;
-  cfg.batch.window = 500ms;        // far wider than the submit burst...
-  cfg.batch.max_batch_requests = 8;  // ...so the count closes the batch
-  HullService svc(cfg);
-  std::vector<std::future<Response>> futs;
-  futs.reserve(8);
-  for (int i = 0; i < 8; ++i) {
-    futs.push_back(svc.submit(make_request(0, 256, 8)));
-  }
-  std::vector<Response> rs;
-  rs.reserve(futs.size());
-  for (auto& f : futs) rs.push_back(f.get());
-  for (const Response& r : rs) {
-    ASSERT_EQ(r.status, Status::kOk);
-    ASSERT_EQ(r.metrics.batch_size, 8u) << "burst did not coalesce";
-    // Each request's e2e covers at least its own execution...
-    EXPECT_GE(r.metrics.e2e_ms, r.metrics.exec_ms);
-  }
-  // ...and along the (FIFO) batch, e2e - queue_wait (= time from the
-  // shared dequeue stamp to THIS request's completion) strictly
-  // increases. Under the old overwrite bug it was one shared batch-end
-  // value for every mate.
-  for (std::size_t i = 1; i < rs.size(); ++i) {
-    EXPECT_GT(rs[i].metrics.e2e_ms - rs[i].metrics.queue_wait_ms,
-              rs[i - 1].metrics.e2e_ms - rs[i - 1].metrics.queue_wait_ms);
-  }
-}
-
-// Both lanes share one finish path, so each reconciles the same way:
-// the small lane in one-request batches, the large lane in its batches
-// of one. The traffic mixes ok, full, expired and shutdown-rejected
-// requests.
+// Both lanes share one finish path, so each reconciles the same way.
+// The traffic mixes ok, full, expired and shutdown-rejected requests.
 TEST(HullService, StatsRegistryReconcilesAfterMixedTraffic) {
   namespace sn = statnames;
   for (const bool large : {false, true}) {
@@ -636,7 +560,7 @@ TEST(HullService, NativeBackendRoundTripBumpsLabeledCounter) {
 
 // edge_above is opt-in (Request::edge_above, the wire's "edge_above"): a
 // native request that does not ask gets an empty array, one that asks
-// gets exactly seq::assign_edges_above's — on the batch lane and on the
+// gets exactly seq::assign_edges_above's — on the small lane and on the
 // large lane, whose 2^16-point run crosses the engine's parallel paths.
 TEST(HullService, NativeEdgeAboveIsOptIn) {
   ServiceConfig cfg = small_config();
@@ -743,15 +667,13 @@ TEST(HullService, ServiceDefaultBackendRoutesAndExplicitWins) {
             1u);
 }
 
-// A mixed batch dispatches per request: both engines serve out of ONE
-// coalesced run, the two per-backend counters split the batch exactly,
-// and pram + native == completed (the invariant hullload --scrape
-// asserts).
+// A mixed-backend burst dispatches per request: each engine serves its
+// own requests on the same worker, the two per-backend counters split
+// the burst exactly, and pram + native == completed (the invariant
+// hullload --scrape asserts).
 TEST(HullService, MixedBatchSplitsBackendCounters) {
   ServiceConfig cfg = small_config();
   cfg.shards = 1;
-  cfg.batch.window = 500ms;
-  cfg.batch.max_batch_requests = 8;
   HullService svc(cfg);
   std::vector<std::future<Response>> futs;
   futs.reserve(8);
@@ -762,10 +684,12 @@ TEST(HullService, MixedBatchSplitsBackendCounters) {
     futs.push_back(svc.submit(std::move(r)));
   }
   std::uint64_t native = 0, pram = 0;
-  for (auto& f : futs) {
-    const Response r = f.get();
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    const Response r = futs[i].get();
     ASSERT_EQ(r.status, Status::kOk);
-    ASSERT_EQ(r.metrics.batch_size, 8u) << "burst did not coalesce";
+    EXPECT_EQ(r.metrics.batch_size, 1u);
+    EXPECT_EQ(r.metrics.backend, i % 2 == 0 ? exec::BackendKind::kNative
+                                            : exec::BackendKind::kPram);
     (r.metrics.backend == exec::BackendKind::kNative ? native : pram)++;
   }
   EXPECT_EQ(native, 4u);
@@ -818,9 +742,9 @@ TEST(HullService, WireResponseIdenticalAcrossBackends) {
             tools::response_to_json(by[1], /*edge_above=*/false).dump());
 }
 
-// The BackendSet seam itself: per-request dispatch, the pram fallback
-// when no native engine is wired, and the legacy machine-only overload.
-TEST(ExecuteBatch, BackendSetDispatchesAndFallsBack) {
+// The BackendSet seam itself: per-request dispatch and the pram
+// fallback when no native engine is wired.
+TEST(Execute, BackendSetDispatchesAndFallsBack) {
   pram::Machine m(2, 99);
   exec::PramBackend pram_backend(m);
   exec::NativeBackend native_backend(2);
@@ -831,90 +755,77 @@ TEST(ExecuteBatch, BackendSetDispatchesAndFallsBack) {
   reqs[0].backend = exec::BackendKind::kNative;
   reqs[1].backend = exec::BackendKind::kPram;
   // reqs[2] stays kDefault -> BackendSet::service_default (pram here).
+  // A run consumes its request's points; each run gets its own copy.
+  const auto kinds = [&](const BackendSet& backends) {
+    std::vector<exec::BackendKind> out;
+    for (Request r : reqs) {
+      const Execution ex = execute(backends, r, 7);
+      EXPECT_EQ(ex.pram.steps == 0,
+                ex.response.metrics.backend == exec::BackendKind::kNative);
+      out.push_back(ex.response.metrics.backend);
+    }
+    return out;
+  };
 
   BackendSet both;
   both.pram = &pram_backend;
   both.native = &native_backend;
-  BatchExecInfo info;
-  // A batch consumes its requests' points; each run gets its own copies.
-  std::vector<Request> batch = reqs;
-  std::vector<Response> rs = execute_batch(both, batch, 7, &info);
-  ASSERT_EQ(rs.size(), 3u);
-  EXPECT_EQ(rs[0].metrics.backend, exec::BackendKind::kNative);
-  EXPECT_EQ(rs[1].metrics.backend, exec::BackendKind::kPram);
-  EXPECT_EQ(rs[2].metrics.backend, exec::BackendKind::kPram);
-  EXPECT_EQ(info.native_requests, 1u);
-  EXPECT_EQ(info.pram_requests, 2u);
+  EXPECT_EQ(kinds(both),
+            (std::vector<exec::BackendKind>{exec::BackendKind::kNative,
+                                            exec::BackendKind::kPram,
+                                            exec::BackendKind::kPram}));
 
   // Without a native engine, a kNative request falls back to pram
   // rather than failing — the resolved kind records what actually ran.
   BackendSet pram_only;
   pram_only.pram = &pram_backend;
-  batch = reqs;
-  rs = execute_batch(pram_only, batch, 7, &info);
-  EXPECT_EQ(rs[0].metrics.backend, exec::BackendKind::kPram);
-  EXPECT_EQ(info.native_requests, 0u);
-  EXPECT_EQ(info.pram_requests, 3u);
+  EXPECT_EQ(kinds(pram_only),
+            std::vector<exec::BackendKind>(3, exec::BackendKind::kPram));
 }
 
 // --- request-scoped tracing (iph::obs) --------------------------------
 
-// Extends the PR 5 batch-metrics fix down to spans: execute_batch now
-// also reports each request's own START stamp and takes its phase
-// spans out of the shard recorder right after its run, so batch-mates
-// get disjoint, per-request exec spans instead of sharing the batch's.
-TEST(ExecuteBatch, ReportsPerRequestStartStampsAndPhaseSpans) {
+// execute() takes each PRAM run's phase spans out of the shard recorder
+// right after the run: they lie inside the run's own exec interval, and
+// the recorder holds none past the request that made them. Requests run
+// back to back on one machine get disjoint exec intervals.
+TEST(Execute, ReportsStartStampAndPhaseSpans) {
   pram::Machine m(2, 99);
   trace::Recorder rec;
   rec.attach(m);
   exec::PramBackend pram_backend(m);
-  std::vector<Request> reqs;
-  for (int i = 0; i < 4; ++i) {
-    reqs.push_back(make_request(static_cast<RequestId>(i + 1), 128, 11));
-  }
   BackendSet backends;
   backends.pram = &pram_backend;
   backends.recorder = &rec;
-  BatchExecInfo info;
-  const std::vector<Response> rs = execute_batch(backends, reqs, 7, &info);
-  ASSERT_EQ(rs.size(), reqs.size());
-  ASSERT_EQ(info.started_at.size(), reqs.size());
-  ASSERT_EQ(info.completed_at.size(), reqs.size());
-  ASSERT_EQ(info.phase_spans.size(), reqs.size());
   const auto ns = [](Clock::time_point t) {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             t.time_since_epoch())
             .count());
   };
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    // Each request's exec interval is well-formed and disjoint from its
-    // predecessor's (back-to-back in the arena, never shared stamps).
-    EXPECT_LT(info.started_at[i].time_since_epoch().count(),
-              info.completed_at[i].time_since_epoch().count());
-    if (i > 0) {
-      EXPECT_GE(info.started_at[i].time_since_epoch().count(),
-                info.completed_at[i - 1].time_since_epoch().count());
+  Clock::time_point prev_end{};
+  for (int i = 0; i < 4; ++i) {
+    Request req = make_request(static_cast<RequestId>(i + 1), 128, 11);
+    const Execution ex = execute(backends, req, 7);
+    EXPECT_LT(ex.started_at.time_since_epoch().count(),
+              ex.completed_at.time_since_epoch().count());
+    EXPECT_GE(ex.started_at.time_since_epoch().count(),
+              prev_end.time_since_epoch().count());
+    prev_end = ex.completed_at;
+    EXPECT_FALSE(ex.phase_spans.empty());
+    for (const trace::PhaseSpan& p : ex.phase_spans) {
+      EXPECT_GE(p.start_ns, ns(ex.started_at)) << p.name;
+      EXPECT_LE(p.end_ns, ns(ex.completed_at)) << p.name;
     }
-    // PRAM-resolved requests own consecutive, non-empty span lists:
-    // every span of request i lies inside its own exec interval.
-    EXPECT_FALSE(info.phase_spans[i].empty());
-    for (const trace::PhaseSpan& p : info.phase_spans[i]) {
-      EXPECT_GE(p.start_ns, ns(info.started_at[i])) << p.name;
-      EXPECT_LE(p.end_ns, ns(info.completed_at[i])) << p.name;
-    }
+    EXPECT_TRUE(rec.spans().empty());
   }
-  // Every span was taken: the recorder holds none past its request.
-  EXPECT_TRUE(rec.spans().empty());
 
   // Native-resolved requests bypass the simulator: they have no spans.
   exec::NativeBackend native_backend(2);
   backends.native = &native_backend;
-  for (auto& r : reqs) r.backend = exec::BackendKind::kNative;
-  execute_batch(backends, reqs, 7, &info);
-  for (const auto& spans : info.phase_spans) {
-    EXPECT_TRUE(spans.empty());
-  }
+  Request req = make_request(5, 128, 11);
+  req.backend = exec::BackendKind::kNative;
+  EXPECT_TRUE(execute(backends, req, 7).phase_spans.empty());
 }
 
 // The service stamps a fresh trace id on requests that arrive without
@@ -973,49 +884,6 @@ TEST(HullService, TraceStampingAdoptionAndExactSpanReconciliation) {
     }
   }
   EXPECT_TRUE(saw_tagged);
-}
-
-// Batch-mates get per-request exec spans: along a coalesced batch the
-// exec spans are disjoint and strictly ordered, matching the PR 5
-// per-request completion stamps (under the old shared-stamp bug every
-// mate's exec span would have been the batch tail's interval).
-TEST(HullService, BatchMatesGetDisjointExecSpans) {
-  ServiceConfig cfg = small_config();
-  cfg.shards = 1;
-  cfg.batch.window = 500ms;
-  cfg.batch.max_batch_requests = 8;
-  HullService svc(cfg);
-  std::vector<std::future<Response>> futs;
-  futs.reserve(8);
-  for (int i = 0; i < 8; ++i) {
-    futs.push_back(svc.submit(make_request(0, 256, 8)));
-  }
-  for (auto& f : futs) ASSERT_EQ(f.get().status, Status::kOk);
-  svc.shutdown();
-
-  std::vector<obs::CompletedTrace> traces = svc.flight_recorder()->snapshot();
-  ASSERT_EQ(traces.size(), 8u);
-  // All one batch...
-  for (const obs::CompletedTrace& t : traces) {
-    ASSERT_EQ(t.batch_size, 8u) << "burst did not coalesce";
-  }
-  // ...so ordered by request id, the exec spans tile the lease without
-  // overlap or shared stamps.
-  std::sort(traces.begin(), traces.end(),
-            [](const obs::CompletedTrace& a, const obs::CompletedTrace& b) {
-              return a.trace_id < b.trace_id;
-            });
-  const obs::Span* prev = nullptr;
-  for (const obs::CompletedTrace& t : traces) {
-    const obs::Span& exec = t.spans[obs::kExecSpanId - 1];
-    ASSERT_STREQ(exec.name, "exec");
-    EXPECT_LT(exec.start_ns, exec.end_ns);
-    if (prev != nullptr) {
-      EXPECT_GE(exec.start_ns, prev->end_ns)
-          << "batch-mates shared exec stamps";
-    }
-    prev = &t.spans[obs::kExecSpanId - 1];
-  }
 }
 
 // With --trace on the PRAM path, each request's trace links its own

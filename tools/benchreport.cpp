@@ -14,7 +14,7 @@
 //
 // Reports carrying a "stats" block (service-registry snapshots attached
 // via bench::attach_stats — e14) additionally get a serving-stats
-// table: rejects by reason, batch-size p50/p99, server-side e2e p99.
+// table: rejects by reason, server-side e2e p99.
 // A malformed stats block is broken input (exit 3), same as a truncated
 // report.
 //
@@ -203,8 +203,8 @@ void render_tracez_section(const std::vector<LoadedTracez>& dumps,
   }
   std::fprintf(out,
                "\n| dump | bucket ≤ ms | e2e ms | kind | status | "
-               "backend | batch | trace | spans | repro |\n");
-  std::fprintf(out, "|---|---|---|---|---|---|---|---|---|---|\n");
+               "backend | trace | spans | repro |\n");
+  std::fprintf(out, "|---|---|---|---|---|---|---|---|---|\n");
   std::size_t pinned = 0;
   for (const LoadedTracez& d : dumps) {
     const std::string fname =
@@ -220,12 +220,11 @@ void render_tracez_section(const std::vector<LoadedTracez>& dumps,
       const std::string repro_cell =
           repro.empty() ? "-" : "`" + repro + "`";
       std::fprintf(out,
-                   "| %s | %s | %.3f | %s | %s | %s | %.0f | %s | %zu "
-                   "| %s |\n",
+                   "| %s | %s | %.3f | %s | %s | %s | %s | %zu | %s |\n",
                    fname.c_str(), exemplar_bucket(e).c_str(),
                    t->get_num("e2e_ms"), t->get_str("kind", "?").c_str(),
                    t->get_str("status", "?").c_str(),
-                   t->get_str("backend", "-").c_str(), t->get_num("batch"),
+                   t->get_str("backend", "-").c_str(),
                    t->get_str("trace", "?").c_str(),
                    spans != nullptr ? spans->size() : 0,
                    repro_cell.c_str());
@@ -339,14 +338,13 @@ bool has_serving_rows(const Json& doc) {
 }
 
 /// Latency/throughput detail for serving benches: one line per row with
-/// qps, solo-vs-served speedup, the e2e latency tail, and the mean
-/// coalesced batch size.
+/// qps, solo-vs-served speedup and the e2e latency tail.
 void render_serving_table(const Json& doc, std::FILE* out) {
   std::fprintf(out, "\nServing latency/throughput:\n\n");
   std::fprintf(out,
                "| row | label | qps | qps solo | speedup | p50 ms | "
-               "p95 ms | p99 ms | mean batch |\n");
-  std::fprintf(out, "|---|---|---|---|---|---|---|---|---|\n");
+               "p95 ms | p99 ms |\n");
+  std::fprintf(out, "|---|---|---|---|---|---|---|---|\n");
   const Json* rows = doc.find("rows");
   if (rows == nullptr) return;
   for (const Json& row : rows->items()) {
@@ -355,12 +353,11 @@ void render_serving_table(const Json& doc, std::FILE* out) {
     const double qps = c->get_num("qps");
     const double solo = c->get_num("qps_solo");
     std::fprintf(out,
-                 "| %s | %s | %.0f | %.0f | %.2fx | %.2f | %.2f | %.2f "
-                 "| %.1f |\n",
+                 "| %s | %s | %.0f | %.0f | %.2fx | %.2f | %.2f | %.2f |\n",
                  row.get_str("name").c_str(), row.get_str("label").c_str(),
                  qps, solo, solo > 0 ? qps / solo : 0,
                  c->get_num("p50_ms"), c->get_num("p95_ms"),
-                 c->get_num("p99_ms"), c->get_num("mean_batch"));
+                 c->get_num("p99_ms"));
   }
 }
 
@@ -505,8 +502,8 @@ void render_session_stats_table(
 }
 
 /// Server-side registry detail: one line per attached stats snapshot
-/// (bench::attach_stats tag), with the reject counters by reason, the
-/// batch-size distribution, and the server-recorded e2e latency tail —
+/// (bench::attach_stats tag), with the reject counters by reason and
+/// the server-recorded e2e latency tail —
 /// the numbers hullload --scrape reconciles live, here preserved in the
 /// run report.
 void render_stats_table(
@@ -517,21 +514,16 @@ void render_stats_table(
   std::fprintf(out, "\nServing stats (server-side registry):\n\n");
   std::fprintf(out,
                "| tag | submitted | completed | rej full | rej shutdown | "
-               "expired | batch p50 | batch p99 | server e2e p99 ms |\n");
-  std::fprintf(out, "|---|---|---|---|---|---|---|---|---|\n");
+               "expired | server e2e p99 ms |\n");
+  std::fprintf(out, "|---|---|---|---|---|---|---|\n");
   for (const auto& [tag, snap] : stats) {
-    double batch_p50 = 0, batch_p99 = 0, e2e_p99 = 0;
-    if (const iph::stats::HistogramSnapshot* h =
-            snap.histogram(sn::kBatchSize)) {
-      batch_p50 = h->quantile(0.50);
-      batch_p99 = h->quantile(0.99);
-    }
+    double e2e_p99 = 0;
     if (const iph::stats::HistogramSnapshot* h = snap.histogram(sn::kE2eMs)) {
       e2e_p99 = h->quantile(0.99);
     }
     std::fprintf(
         out,
-        "| %s | %llu | %llu | %llu | %llu | %llu | %.1f | %.1f | %.2f |\n",
+        "| %s | %llu | %llu | %llu | %llu | %llu | %.2f |\n",
         tag.c_str(),
         static_cast<unsigned long long>(snap.counter_or0(sn::kSubmitted)),
         static_cast<unsigned long long>(snap.counter_or0(sn::kCompleted)),
@@ -540,7 +532,7 @@ void render_stats_table(
         static_cast<unsigned long long>(snap.counter_or0(
             iph::stats::labeled(sn::kRejectedBase, "reason", "shutdown"))),
         static_cast<unsigned long long>(snap.counter_or0(sn::kExpired)),
-        batch_p50, batch_p99, e2e_p99);
+        e2e_p99);
   }
 }
 
@@ -645,7 +637,7 @@ void render_markdown(const std::vector<Loaded>& reports, std::FILE* out) {
       // snapshot carries backend session counters too, but the router
       // columns are its story. Session snapshots (e15) then get the
       // streaming columns; everything else renders with the
-      // batch-serving columns (e14).
+      // request-serving columns (e14).
       std::vector<std::pair<std::string, iph::stats::RegistrySnapshot>>
           serve_stats, session_stats, fleet_stats;
       for (const auto& entry : r.stats) {

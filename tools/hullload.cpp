@@ -31,7 +31,7 @@
 // must reconcile EXACTLY (the run must be the server's only traffic),
 // including the backend-labeled served counters (pram + native ==
 // completed; with --backend pinned, that engine's counter == ok) and
-// the batch sizes (iph_serve_batch_size sum == completed), and the
+// the queue-depth and shards-leased gauges (back at 0), and the
 // server-side ok-e2e median must be within --scrape-tol (a ratio;
 // default 8, floored at 0.05 ms to ignore sub-bucket noise; 0 disables)
 // of the client-observed median. Medians, not p99s: a smoke run has a
@@ -79,6 +79,12 @@
 // mismatches, and both session gauges (live_sessions, aux_cells) back
 // at zero after the run.
 //
+// Numeric flags are parsed whole and range-checked
+// (cluster::parse_number): --clients 1-4096, --n and --append-points
+// 1-4194304 (the wire's generated-point cap), --requests and
+// --trace-slowest >= 1, reals >= 0. Junk or an out-of-range value is a
+// usage error.
+//
 // Exit codes: 0 done, 1 with --expect-all-ok if any request was
 // rejected/expired/errored or with --scrape on reconcile/tolerance
 // failure, 2 usage error, 3 connect failure.
@@ -87,10 +93,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -583,20 +591,22 @@ bool check_scrape(const iph::stats::RegistrySnapshot& d, const Tally& total,
   } else if (want == iph::exec::BackendKind::kNative) {
     r.equal("backend=native requests", srv_bk_native, total.ok);
   }
-  // Batch conservation: both lanes record each executed batch's size
-  // once (a large-lane run is a batch of one), so the sizes sum to the
-  // completed count — per server, and so on a merged fleet snapshot.
-  const iph::stats::HistogramSnapshot* batch_size = d.histogram(sn::kBatchSize);
-  r.equal("batch_size sum vs completed",
-          batch_size != nullptr ? static_cast<std::uint64_t>(batch_size->sum)
-                                : 0,
-          srv_completed);
   // Tracing conservation: with a flight recorder armed, every completed
   // request published exactly one kind=request trace of exactly
   // kSpansPerRequest spans (publish counts at attempt time, so ring
   // drops do not leak traces out of this identity).
   r.obs(d, "request", srv_completed,
         srv_completed * iph::obs::kSpansPerRequest);
+  // Occupancy: with every answer in, no queue slot or running shard
+  // stays occupied. Diffs keep gauges at their current level.
+  for (const std::string& g :
+       {iph::stats::labeled(sn::kQueueDepthBase, "queue", "small"),
+        iph::stats::labeled(sn::kQueueDepthBase, "queue", "large"),
+        std::string(sn::kShardsLeased)}) {
+    const std::int64_t* v = d.gauge(g);
+    r.equal(g + " gauge", v != nullptr ? static_cast<std::uint64_t>(*v) : 1,
+            0);
+  }
   return r.done(e2e, client_p50, tol);
 }
 
@@ -750,14 +760,12 @@ void print_trace_trees(const Json& doc) {
     const Json& t = traces->at(i);
     std::fprintf(stderr,
                  "  trace %s  id %llu  kind %s  status %s  backend %s  "
-                 "batch %llu  e2e %.3f ms\n",
+                 "e2e %.3f ms\n",
                  t.get_str("trace", "?").c_str(),
                  static_cast<unsigned long long>(t.get_num("id", 0)),
                  t.get_str("kind", "?").c_str(),
                  t.get_str("status", "?").c_str(),
-                 t.get_str("backend", "-").c_str(),
-                 static_cast<unsigned long long>(t.get_num("batch", 0)),
-                 t.get_num("e2e_ms", 0));
+                 t.get_str("backend", "-").c_str(), t.get_num("e2e_ms", 0));
     if (const Json* repro = t.find("repro"); repro != nullptr) {
       std::fprintf(stderr, "    repro: %s\n",
                    t.get_str("repro", "").c_str());
@@ -776,6 +784,10 @@ void print_trace_trees(const Json& doc) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using iph::cluster::parse_number;
+  constexpr double kMaxReal = std::numeric_limits<double>::max();
+  constexpr auto kMaxPoints =
+      static_cast<std::size_t>(iph::tools::kMaxGeneratedPoints);
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -783,32 +795,31 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    bool ok = true;
     if (a == "--clients" && (v = next())) {
-      opt.clients = std::atoi(v);
+      ok = parse_number(v, 1, 4096, &opt.clients);
     } else if (a == "--requests" && (v = next())) {
-      opt.requests = std::atoi(v);
+      ok = parse_number(v, 1, INT_MAX, &opt.requests);
     } else if (a == "--qps" && (v = next())) {
-      opt.qps = std::atof(v);
+      ok = parse_number(v, 0.0, kMaxReal, &opt.qps);
     } else if (a == "--n" && (v = next())) {
-      opt.n = static_cast<std::size_t>(std::atoll(v));
+      ok = parse_number(v, 1, kMaxPoints, &opt.n);
     } else if (a == "--workload" && (v = next())) {
       opt.workload = v;
     } else if (a == "--seed" && (v = next())) {
-      opt.seed = std::strtoull(v, nullptr, 0);
+      ok = parse_number(v, 0, UINT64_MAX, &opt.seed);
     } else if (a == "--deadline-ms" && (v = next())) {
-      opt.deadline_ms = std::atof(v);
+      ok = parse_number(v, 0.0, kMaxReal, &opt.deadline_ms);
     } else if (a == "--connect" && (v = next())) {
       opt.connect = v;
     } else if (a == "--endpoints" && (v = next())) {
-      if (!iph::cluster::parse_endpoint_list(v, &opt.endpoints)) {
-        return usage(argv[0]);
-      }
+      ok = iph::cluster::parse_endpoint_list(v, &opt.endpoints);
     } else if (a == "--backend" && (v = next())) {
-      if (!iph::exec::parse_backend(v, &opt.backend)) return usage(argv[0]);
+      ok = iph::exec::parse_backend(v, &opt.backend);
     } else if (a == "--stream") {
       opt.stream = true;
     } else if (a == "--append-points" && (v = next())) {
-      opt.append_points = static_cast<std::size_t>(std::atoll(v));
+      ok = parse_number(v, 1, kMaxPoints, &opt.append_points);
     } else if (a == "--expect-all-ok") {
       opt.expect_all_ok = true;
     } else if (a == "--json") {
@@ -816,22 +827,18 @@ int main(int argc, char** argv) {
     } else if (a == "--scrape") {
       opt.scrape = true;
     } else if (a == "--scrape-tol" && (v = next())) {
-      opt.scrape_tol = std::atof(v);
+      ok = parse_number(v, 0.0, kMaxReal, &opt.scrape_tol);
     } else if (a == "--scrape-out" && (v = next())) {
       opt.scrape_out = v;
       opt.scrape = true;
     } else if (a == "--trace-slowest" && (v = next())) {
-      opt.trace_slowest = std::atoi(v);
-      if (opt.trace_slowest < 1) return usage(argv[0]);
+      ok = parse_number(v, 1, INT_MAX, &opt.trace_slowest);
     } else {
-      return usage(argv[0]);
+      ok = false;
     }
+    if (!ok) return usage(argv[0]);
   }
-  if (opt.clients < 1 || opt.requests < 1 || opt.n == 0 ||
-      (opt.stream && opt.append_points == 0) ||
-      (opt.endpoints.empty() && opt.connect.empty())) {
-    return usage(argv[0]);
-  }
+  if (opt.endpoints.empty() && opt.connect.empty()) return usage(argv[0]);
   {
     std::vector<iph::geom::Point2> probe;
     if (!iph::tools::make_workload(opt.workload, 4, 0, &probe)) {

@@ -15,18 +15,23 @@
 // Responses on a connection are written in submission order: a reader
 // loop parses + submits while a per-connection responder thread drains
 // the futures FIFO — submission keeps flowing while earlier hulls are
-// still computing, which is what lets the service's batcher coalesce a
-// pipelined client's burst. (FIFO also pairs with hullload's open-loop
-// reader, which matches responses to send times positionally.)
+// still computing, so a pipelined client's burst spreads over the
+// service's workers. (FIFO also pairs with hullload's open-loop reader,
+// which matches responses to send times positionally.)
+//
+// Every numeric flag is parsed whole and range-checked
+// (cluster::parse_number): junk, a negative count or an out-of-range
+// value is a usage error.
 //
 // SIGINT/SIGTERM stop accepting, drain in-flight connections, and
 // print the service stats to stderr. Exit codes: 0 clean, 2 usage
 // error, 3 socket setup failure.
 #include <unistd.h>
 
+#include <climits>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <future>
@@ -42,6 +47,7 @@
 #include "serve/service.h"
 #include "serve_wire.h"
 #include "session/manager.h"
+#include "support/env.h"
 #include "trace/json.h"
 
 namespace {
@@ -56,26 +62,27 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--port P] [--shards N] [--threads N]\n"
-      "          [--capacity N] [--window-us U] [--max-batch N]\n"
-      "          [--small-threshold N] [--seed S] [--quiet]\n"
+      "          [--capacity N] [--seed S] [--quiet]\n"
       "          [--stats-every-ms M] [--backend pram|native]\n"
       "          [--max-sessions N] [--max-append-points N]\n"
-      "          [--session-pending N] [--session-staleness N]\n"
       "          [--trace] [--obs-capacity N] [--repro-dir D]\n"
       "          [--trace-out FILE] [--tracez-out FILE]\n"
       "Serves NDJSON hull requests (see tools/serve_wire.h) from stdin\n"
-      "(default) or TCP connections on 127.0.0.1:P. A {\"cmd\":\"statz\"}\n"
+      "(default) or TCP connections on 127.0.0.1:P (0-65535; 0 picks a\n"
+      "free port). --shards (1-4096) small-query workers and one\n"
+      "large-query worker each run one request at a time on an engine\n"
+      "--threads wide (0-4096; 0 = $IPH_THREADS or every core), behind\n"
+      "queues of --capacity requests. A {\"cmd\":\"statz\"}\n"
       "line returns the service metrics registry; --stats-every-ms logs\n"
       "a periodic snapshot-diff line to stderr. --backend picks the\n"
       "engine for requests that don't name one (default: pram, the\n"
       "metered simulator; native is the thread-parallel fast path).\n"
       "Streaming sessions (session_open/append/close command lines)\n"
       "share every stream; --max-sessions caps concurrently live ones,\n"
-      "--max-append-points caps one append's batch, --session-pending /\n"
-      "--session-staleness set the per-session rebuild thresholds.\n"
+      "--max-append-points caps one append's points.\n"
       "Tracing: the flight recorder is on by default (a {\"cmd\":\n"
       "\"tracez\"} line returns recent/slowest span trees); --obs-capacity\n"
-      "sizes its ring (0 disables tracing), --repro-dir overrides\n"
+      "sizes its ring (0-1048576; 0 disables tracing), --repro-dir overrides\n"
       "$IPH_EXEC_REPRO_DIR for tail-exemplar repro files, --trace arms\n"
       "per-shard PRAM phase recorders (linked as child spans), and\n"
       "--trace-out / --tracez-out dump a Chrome trace / tracez JSON\n"
@@ -234,8 +241,7 @@ void print_stats(const iph::stats::RegistrySnapshot& s) {
   std::fprintf(
       stderr,
       "hullserved: submitted %llu  ok %llu  rejected_full %llu  "
-      "rejected_shutdown %llu  expired %llu\n"
-      "hullserved: batches %llu  mean batch %.2f  large %llu\n",
+      "rejected_shutdown %llu  expired %llu  large %llu\n",
       static_cast<unsigned long long>(s.counter_or0(sn::kSubmitted)),
       static_cast<unsigned long long>(s.counter_or0(sn::kCompleted)),
       static_cast<unsigned long long>(
@@ -243,8 +249,6 @@ void print_stats(const iph::stats::RegistrySnapshot& s) {
       static_cast<unsigned long long>(
           s.counter_or0(labeled(sn::kRejectedBase, "reason", "shutdown"))),
       static_cast<unsigned long long>(s.counter_or0(sn::kExpired)),
-      static_cast<unsigned long long>(s.counter_or0(sn::kBatches)),
-      iph::serve::mean_batch(s),
       static_cast<unsigned long long>(s.counter_or0(sn::kLargeRequests)));
 }
 
@@ -317,6 +321,7 @@ class StatsLogger {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using iph::cluster::parse_number;
   int port = -1;
   bool quiet = false;
   int stats_every_ms = 0;
@@ -330,44 +335,31 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    bool ok = true;
     if (a == "--port" && (v = next())) {
-      port = std::atoi(v);
+      ok = parse_number(v, 0, 65535, &port);
     } else if (a == "--shards" && (v = next())) {
-      cfg.shards = static_cast<std::size_t>(std::atoll(v));
+      ok = parse_number(v, 1, iph::support::kMaxThreads, &cfg.shards);
     } else if (a == "--threads" && (v = next())) {
-      cfg.threads_per_shard = static_cast<unsigned>(std::atoi(v));
+      ok = parse_number(v, 0, iph::support::kMaxThreads,
+                        &cfg.threads_per_shard);
     } else if (a == "--capacity" && (v = next())) {
-      cfg.queue_capacity = static_cast<std::size_t>(std::atoll(v));
-    } else if (a == "--window-us" && (v = next())) {
-      cfg.batch.window = std::chrono::microseconds(std::atoll(v));
-    } else if (a == "--max-batch" && (v = next())) {
-      cfg.batch.max_batch_requests = static_cast<std::size_t>(std::atoll(v));
-    } else if (a == "--small-threshold" && (v = next())) {
-      cfg.batch.small_threshold = static_cast<std::size_t>(std::atoll(v));
+      ok = parse_number(v, 1, SIZE_MAX, &cfg.queue_capacity);
     } else if (a == "--seed" && (v = next())) {
-      cfg.master_seed = std::strtoull(v, nullptr, 0);
+      ok = parse_number(v, 0, UINT64_MAX, &cfg.master_seed);
     } else if (a == "--backend" && (v = next())) {
-      if (!iph::exec::parse_backend(v, &cfg.backend)) return usage(argv[0]);
+      ok = iph::exec::parse_backend(v, &cfg.backend);
     } else if (a == "--stats-every-ms" && (v = next())) {
-      stats_every_ms = std::atoi(v);
+      ok = parse_number(v, 0, INT_MAX, &stats_every_ms);
     } else if (a == "--max-sessions" && (v = next())) {
-      mgr_cfg.max_sessions = static_cast<std::size_t>(std::atoll(v));
+      ok = parse_number(v, 0, SIZE_MAX, &mgr_cfg.max_sessions);
     } else if (a == "--max-append-points" && (v = next())) {
-      mgr_cfg.max_append_points = static_cast<std::size_t>(std::atoll(v));
-    } else if (a == "--session-pending" && (v = next())) {
-      mgr_cfg.session.pending_limit = static_cast<std::size_t>(std::atoll(v));
-    } else if (a == "--session-staleness" && (v = next())) {
-      mgr_cfg.session.staleness_limit =
-          static_cast<std::uint64_t>(std::atoll(v));
+      ok = parse_number(v, 0, SIZE_MAX, &mgr_cfg.max_append_points);
     } else if (a == "--trace") {
       cfg.trace = true;
     } else if (a == "--obs-capacity" && (v = next())) {
-      const long long n = std::atoll(v);
-      if (n <= 0) {
-        cfg.obs.enabled = false;
-      } else {
-        cfg.obs.capacity = static_cast<std::size_t>(n);
-      }
+      ok = parse_number(v, 0, std::size_t{1} << 20, &cfg.obs.capacity);
+      cfg.obs.enabled = cfg.obs.capacity != 0;
     } else if (a == "--repro-dir" && (v = next())) {
       cfg.obs.repro_dir = v;
     } else if (a == "--trace-out" && (v = next())) {
@@ -377,10 +369,10 @@ int main(int argc, char** argv) {
     } else if (a == "--quiet") {
       quiet = true;
     } else {
-      return usage(argv[0]);
+      ok = false;
     }
+    if (!ok) return usage(argv[0]);
   }
-  if (port > 65535) return usage(argv[0]);
 
   HullService svc(cfg);
   // Sessions register in the service's registry so one statz scrape

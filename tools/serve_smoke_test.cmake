@@ -42,6 +42,9 @@
 #      lines to a hullserved, then to a hullrouter in front of it, and
 #      close without reading. Each front end must live through its
 #      failed writes and answer a fresh connection.
+#  10. Usage errors: the flags the tools no longer have (the batching
+#      service's window and batch budget among them) and numeric flags
+#      that are junk, negative or out of range all exit 2.
 if(NOT HULLSERVED OR NOT HULLLOAD OR NOT HULLROUTER OR NOT WORK_DIR)
   message(FATAL_ERROR
           "need -DHULLSERVED=... -DHULLLOAD=... -DHULLROUTER=... "
@@ -815,5 +818,59 @@ foreach(tool hu_rt hu_be)
   execute_process(
     COMMAND sh -c "kill -INT $(cat '${WORK_DIR}/${tool}.pid') 2>/dev/null; true")
 endforeach()
+
+# --- Case 10: flags that are gone, and numbers that do not parse ------
+# Every flag the one-request service and the tools dropped is a usage
+# error, and so is a numeric flag that is junk, negative for a count,
+# or out of range: each run must exit 2 before serving anything. The
+# values are harmless to a build that wrongly accepted them (stdin is
+# empty and nothing listens on port 1), so a failure here cannot start
+# a runaway server.
+function(iph_expect_usage_error what)
+  execute_process(
+    COMMAND ${ARGN}
+    INPUT_FILE /dev/null
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET TIMEOUT 60)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "usage errors: ${what}: expected exit 2, got ${rc}")
+  endif()
+endfunction()
+iph_expect_usage_error("hullserved --window-us" "${HULLSERVED}" --window-us 200)
+iph_expect_usage_error("hullserved --max-batch" "${HULLSERVED}" --max-batch 8)
+iph_expect_usage_error("hullserved --small-threshold"
+                       "${HULLSERVED}" --small-threshold 64)
+iph_expect_usage_error("hullserved --session-pending"
+                       "${HULLSERVED}" --session-pending 4)
+iph_expect_usage_error("hullserved --session-staleness"
+                       "${HULLSERVED}" --session-staleness 4)
+set(RT_ARGS "${HULLROUTER}" --probe-ms 0 --endpoints 127.0.0.1:1)
+iph_expect_usage_error("hullrouter --vnodes" ${RT_ARGS} --vnodes 8)
+iph_expect_usage_error("hullrouter --markdown-at-ms"
+                       ${RT_ARGS} --markdown-at-ms 10:0)
+iph_expect_usage_error("hullrouter --markup-at-ms"
+                       ${RT_ARGS} --markup-at-ms 10:0)
+iph_expect_usage_error("hullserved --shards abc" "${HULLSERVED}" --shards abc)
+iph_expect_usage_error("hullserved --threads 2x" "${HULLSERVED}" --threads 2x)
+iph_expect_usage_error("hullserved --port -3" "${HULLSERVED}" --port -3)
+iph_expect_usage_error("hullserved --capacity 0" "${HULLSERVED}" --capacity 0)
+iph_expect_usage_error("hullserved --seed 7q" "${HULLSERVED}" --seed 7q)
+iph_expect_usage_error("hullserved --obs-capacity -1"
+                       "${HULLSERVED}" --obs-capacity -1)
+iph_expect_usage_error("hullrouter --retries -1" ${RT_ARGS} --retries -1)
+iph_expect_usage_error("hullrouter --probe-ms x" ${RT_ARGS} --probe-ms x)
+set(LD_ARGS "${HULLLOAD}" --connect 127.0.0.1:1 --requests 1)
+iph_expect_usage_error("hullload --n -1" ${LD_ARGS} --n -1)
+iph_expect_usage_error("hullload --requests 2x" ${LD_ARGS} --requests 2x)
+iph_expect_usage_error("hullload --qps nan" ${LD_ARGS} --qps nan)
+iph_expect_usage_error("hullload --deadline-ms -5"
+                       ${LD_ARGS} --deadline-ms -5)
+# The flags that stay still parse: this run gets as far as dialing.
+execute_process(
+  COMMAND ${LD_ARGS} --n 64 --clients 1 --seed 18446744073709551615
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET TIMEOUT 60)
+if(NOT rc EQUAL 3)
+  message(FATAL_ERROR "usage errors: valid hullload flags: expected the "
+                      "connect failure (exit 3), got ${rc}")
+endif()
 
 message(STATUS "serve tools smoke ok")

@@ -21,6 +21,7 @@
 // The metrics "backend" is the engine that actually ran the request
 // (always resolved — never "default"); native runs report zero PRAM
 // steps/work/max_active (exec/backend.h cost-metric contract).
+// "batch_size" is always 1: a worker runs one request at a time.
 // Non-ok statuses ("rejected_full", "rejected_shutdown", "expired")
 // omit "hull"/"edge_count". A line the server cannot parse is answered
 // {"error": "..."} and the stream continues — the protocol never goes
